@@ -1,10 +1,10 @@
 """Scalar/vector backend selection for the hot-loop implementations.
 
 Three of the steady-state hot loops — the labeling rounds of block
-construction, the live circuit-reservation ledger and the per-probe
-routing-decision engine — exist in two byte-identical implementations: a
-pure-Python *scalar* reference loop and a numpy-vectorized *vector*
-engine.  The vector engine is the default; the scalar path is kept as the
+construction, the live circuit-reservation ledger and the simulator's
+message phase (per-object probes or probe-table rows) — exist in two
+byte-identical implementations: a pure-Python *scalar* reference loop and
+a numpy-vectorized *vector* engine.  The vector engine is the default; the scalar path is kept as the
 parity oracle (the randomized parity tests assert identical statuses,
 block extents, reserved-link sets and probe decisions) and as the
 benchmark baseline.  Both run on the same numpy-backed state — numpy is a

@@ -120,7 +120,7 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         choices=available_backends(),
         default=None,
         help="hot-loop implementation (labeling rounds, circuit ledger, "
-        "decision engine); defaults to $REPRO_BACKEND or 'vector'",
+        "probe engine); defaults to $REPRO_BACKEND or 'vector'",
     )
 
 

@@ -65,16 +65,27 @@ class _CellState:
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        # The simulator's own vector engine (shared with DecisionCache so
-        # its refreshed tables serve both entry points).
-        engine = sim._decision_cache._engine()
-        assert isinstance(engine, VectorDecisionEngine)
-        self.engine = engine
+        self.engine: Optional[VectorDecisionEngine] = None
         self.ledger = sim.circuits
         self.lifetime = sim._probe_lifetime
         #: Information token of the last classification — WAIT carryover is
-        #: only valid while it is unchanged (the scalar carry's contract).
+        #: only valid while it is unchanged (a wait changes nothing else).
         self.carry_token: Optional[Tuple[int, int]] = None
+
+    def tables(self) -> Tuple[DecisionTables, Tuple[int, int]]:
+        """Classification tables over the information the router decides on.
+
+        The router names that information
+        (:meth:`~repro.routing.registry.Router.decision_information`); when
+        it hands back a new object (static-block rebuilds its adjacent-only
+        view on every labeling change) the engine is rebuilt over it.
+        """
+        sim = self.sim
+        info = sim.router.decision_information(sim.info)
+        engine = self.engine
+        if engine is None or engine.info is not info:
+            engine = self.engine = VectorDecisionEngine(info, sim.router.policy)
+        return engine.tables()
 
 
 class ProbeTable:
@@ -334,12 +345,12 @@ class ProbeTable:
         composite keys and detour bits — are copied in.
         """
         if len(self._cells) == 1:
-            tables, token = self._cells[0].engine.tables()
+            tables, token = self._cells[0].tables()
             return tables, [token]
         per: List[DecisionTables] = []
         tokens: List[Tuple[int, int]] = []
         for cs in self._cells:
-            tables, token = cs.engine.tables()
+            tables, token = cs.tables()
             per.append(tables)
             tokens.append(token)
         old_tokens = self._concat_tokens
@@ -371,8 +382,9 @@ class ProbeTable:
             return concat, tokens
         # Full (re)build: first call, or the detour table exceeds its cap
         # (the CSR constraint arrays must then stay consistent because the
-        # legacy reduceat path reads them).  Each cell's ``c_start`` entries
-        # shift by the number of constraint rows of the cells before it.
+        # reduceat fallback reads them).  Each cell's ``c_start``
+        # entries shift by the number of constraint rows of the cells before
+        # it.
         row_offset = 0
         c_start_parts = []
         for tables in per:
@@ -415,7 +427,8 @@ class ProbeTable:
         """One classification pass over every row needing a decision.
 
         Rows that WAITed last step reuse their stored candidates while the
-        cell's information token is unchanged — the scalar carry contract.
+        cell's information token is unchanged: a wait leaves the header
+        as it was, so the classification would come out the same.
         """
         tables, tokens = self._tables()
         for c, cs in enumerate(self._cells):
@@ -443,19 +456,8 @@ class ProbeTable:
             node_idx = cur + self._offsets[self._cell[sel]]
         else:
             node_idx = cur
-        backtrack, sorted_dirs, counts, _cls, _order = classify_rows(
-            tables,
-            node_idx,
-            None,
-            None,
-            None,
-            None,
-            at_source,
-            cur_idx=cur,
-            dest_idx=dest,
-            rev_col=rev,
-            used_bits=used_bits,
-            want_cls=False,
+        backtrack, sorted_dirs, counts = classify_rows(
+            tables, node_idx, cur, dest, rev, used_bits, at_source
         )
         cur_col = cur[:, None]
         self._cdirs[sel] = sorted_dirs

@@ -33,10 +33,10 @@ this package: specs are built with keyword arguments or parsed from the
 versioned ``repro.spec/v1`` payload via :meth:`ExperimentSpec.from_dict`,
 batches run through :func:`run_batch` (keyword options only), and results
 export as the ``repro.result/v1`` payload via
-:meth:`BatchResult.to_dict`/``to_json``.  Historic call forms — positional
-``ExperimentSpec(...)`` arguments, positional ``run_batch`` options,
-schema-less spec payloads and ``run_batch_stacked`` — keep working for one
-release with a :class:`DeprecationWarning`.
+:meth:`BatchResult.to_dict`/``to_json``.  The historic call forms are
+gone: positional ``ExperimentSpec(...)`` arguments and positional
+``run_batch`` options raise :class:`TypeError`, and a spec payload without
+a ``schema`` field raises :class:`ValueError`.
 """
 
 from repro.experiments.cache import CacheStats, ResultCache, cell_fingerprint

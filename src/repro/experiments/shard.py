@@ -30,8 +30,10 @@ from math import ceil
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backend import VECTOR, resolve_backend
+from repro.core.state import InformationState
 from repro.experiments.spec import ExperimentCell
-from repro.routing import AlgorithmRouter, resolve_router
+from repro.mesh.topology import Mesh
+from repro.routing import resolve_router
 
 #: One (grid index, cell) work item.
 IndexedCell = Tuple[int, ExperimentCell]
@@ -67,9 +69,11 @@ def probe_table_eligible(cell: ExperimentCell, *, backend: Optional[str] = None)
     """Predict whether ``cell``'s simulator will engage the probe table.
 
     Mirrors the gate in :class:`~repro.simulator.engine.Simulator`: a
-    simulate-mode cell, an Algorithm-3 router (the registry's
-    ``AlgorithmRouter`` policies), the vector backend (decision engine +
-    array ledger), and a direction bitmask that fits 32 bits.
+    simulate-mode cell, the vector backend, a direction bitmask that fits
+    32 bits, and a router that decides by Algorithm 3 — one whose
+    :meth:`~repro.routing.registry.Router.decision_information` names the
+    information it decides against (the limited-global family and
+    static-block; not global-information).
     """
     if cell.mode != "simulate":
         return False
@@ -77,7 +81,8 @@ def probe_table_eligible(cell: ExperimentCell, *, backend: Optional[str] = None)
         return False
     if 2 * len(cell.shape) > 32:
         return False
-    return type(resolve_router(cell.policy)) is AlgorithmRouter
+    info = InformationState.fresh(Mesh(cell.shape))
+    return resolve_router(cell.policy).decision_information(info) is not None
 
 
 def _split(items: Sequence[IndexedCell], n_shards: int) -> List[Tuple[IndexedCell, ...]]:

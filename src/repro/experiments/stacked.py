@@ -16,14 +16,14 @@ per-row function, so stacking changes *where* rows are classified, never
 what any cell observes.  That independence is also why the sharded
 executor (:mod:`repro.experiments.shard`) may split one shape group into
 several sub-groups across worker processes: group membership is invisible
-to every member.  Cells the probe table cannot host (scalar backend,
-non-Algorithm routers, throughput/offline modes) fall back to the serial
+to every member.  Every Algorithm-3 policy stacks, static-block
+included; cells the probe table cannot host (scalar backend,
+global-information, throughput/offline modes) fall back to the serial
 path, cell by cell.
 
 :func:`run_cells_stacked` is the composable unit — it runs any indexed
-subset of a grid's cells and is what a sharded pool worker executes;
-:func:`run_batch_stacked` wraps it over a whole spec (the historic
-``engine="stacked"`` single-process entry point).
+subset of a grid's cells and is what ``run_batch(engine="stacked")`` and a
+sharded pool worker execute.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.probe_table import ProbeTable
-from repro.experiments.results import BatchResult, CellResult
-from repro.experiments.spec import ExperimentCell, ExperimentSpec
+from repro.experiments.results import CellResult
+from repro.experiments.spec import ExperimentCell
 
 if False:  # pragma: no cover - import cycle guard for annotations
     from repro.simulator.engine import Simulator
@@ -132,34 +132,3 @@ def run_cells_stacked(
 
     return out
 
-
-def run_batch_stacked(
-    spec: ExperimentSpec,
-    *,
-    on_cell_done: Optional[Callable[[CellResult], None]] = None,
-) -> BatchResult:
-    """Run ``spec`` with same-shape simulate cells stacked on shared tables.
-
-    .. deprecated::
-        The historic engine-specific entry point, superseded by
-        ``run_batch(spec, engine="stacked")`` — which adds worker fan-out,
-        caching and telemetry on the same lockstep execution.  Kept
-        working for one release.
-    """
-    import warnings
-
-    warnings.warn(
-        'run_batch_stacked is deprecated: use run_batch(spec, engine="stacked")',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    cells = spec.cells()
-    results: List[Optional[CellResult]] = [None] * len(cells)
-
-    def land(index: int, result: CellResult) -> None:
-        results[index] = result
-        if on_cell_done is not None:
-            on_cell_done(result)
-
-    run_cells_stacked(list(enumerate(cells)), on_result=land)
-    return BatchResult(spec=spec, results=tuple(results))  # type: ignore[arg-type]

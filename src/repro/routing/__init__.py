@@ -38,11 +38,7 @@ from repro.routing.registry import (
     resolve_router,
     route_with,
 )
-from repro.routing.static_block import (
-    StaticBlockProbe,
-    StaticBlockRouter,
-    adjacent_only_information,
-)
+from repro.routing.static_block import StaticBlockRouter, adjacent_only_information
 
 register_router(
     "limited-global", lambda: AlgorithmRouter(RoutingPolicy.limited_global())
@@ -70,7 +66,6 @@ __all__ = [
     "GlobalPathProbe",
     "Router",
     "SetupProbe",
-    "StaticBlockProbe",
     "StaticBlockRouter",
     "adjacent_only_information",
     "available_routers",

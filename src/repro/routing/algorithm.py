@@ -4,8 +4,8 @@
 ``no-information`` are all the same backtracking PCS probe run with
 different :class:`~repro.core.routing.RoutingPolicy` flags; this adapter
 derives the offline information view each flag set assumes and hands the
-simulator plain :class:`~repro.core.routing.RoutingProbe` objects, so the
-online hot path is exactly the pre-registry code path.
+simulator plain :class:`~repro.core.routing.RoutingProbe` objects, which
+decide against the simulator's own information state.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.core.routing import (
 )
 from repro.core.state import InformationState
 from repro.mesh.topology import Mesh
-from repro.routing.registry import Router
+from repro.routing.registry import Router, SimulationInfo
 
 Coord = Tuple[int, ...]
 
@@ -52,6 +52,12 @@ class AlgorithmRouter(Router):
         """
         return self._view_entry(mesh, labeling)[0]
 
+    def _derive_view(self, mesh: Mesh, labeling: LabelingState) -> InformationProvider:
+        """Build the offline information view for ``labeling`` (uncached)."""
+        if self.policy.use_block_info or self.policy.use_boundary_info:
+            return distribute_information(mesh, labeling)
+        return InformationState(mesh=mesh, labeling=labeling)
+
     def _view_entry(
         self, mesh: Mesh, labeling: LabelingState
     ) -> Tuple[InformationProvider, DecisionCache]:
@@ -62,10 +68,7 @@ class AlgorithmRouter(Router):
             and cached[1] == labeling.mutations
         ):
             return cached[2], cached[3]
-        if self.policy.use_block_info or self.policy.use_boundary_info:
-            info: InformationProvider = distribute_information(mesh, labeling)
-        else:
-            info = InformationState(mesh=mesh, labeling=labeling)
+        info = self._derive_view(mesh, labeling)
         cache = DecisionCache(info, self.policy)
         self._view = (labeling, labeling.mutations, info, cache)
         return info, cache
@@ -93,3 +96,7 @@ class AlgorithmRouter(Router):
         self, mesh: Mesh, source: Sequence[int], destination: Sequence[int]
     ) -> RoutingProbe:
         return RoutingProbe(mesh, source, destination, policy=self.policy)
+
+    def decision_information(self, info: SimulationInfo) -> SimulationInfo:
+        """The simulator's own information: the model's distributed records."""
+        return info

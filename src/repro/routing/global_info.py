@@ -231,14 +231,12 @@ class GlobalPathProbe:
         *,
         link_blocked: Optional[LinkBlocked] = None,
         decision_cache: object = None,
-        candidates: object = None,
     ) -> Optional[RouteOutcome]:
         """Advance one hop along the current plan, replanning as needed.
 
-        ``decision_cache`` and ``candidates`` are accepted for interface
-        uniformity with the Algorithm-3 probes and ignored: the global probe
-        plans with a BFS, not with per-node direction classification, so it
-        has nothing for the vectorized decision batch to classify.
+        ``decision_cache`` is accepted for interface uniformity with the
+        Algorithm-3 probes and ignored: the global probe plans with a BFS,
+        not with per-node direction classification.
         """
         if self.done:
             return self.outcome

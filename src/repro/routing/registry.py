@@ -37,6 +37,7 @@ from repro.core.routing import (
     LinkBlocked,
     RouteOutcome,
     RouteResult,
+    RoutingPolicy,
 )
 from repro.mesh.topology import Mesh
 
@@ -47,7 +48,7 @@ class SimulationInfo(InformationProvider, Protocol):
     """What an online probe may read from the simulator's information.
 
     The plain :class:`~repro.core.routing.InformationProvider` protocol is
-    enough for the Algorithm-3 probes, but the static-block and
+    enough for the Algorithm-3 probes, but the static-block router and the
     global-information probes additionally derive their own views from the
     *current labeling* — so the registry's online contract explicitly
     includes it.  :class:`~repro.core.state.InformationState` (what the
@@ -83,7 +84,6 @@ class SetupProbe(Protocol):
         *,
         link_blocked: Optional[LinkBlocked] = None,
         decision_cache: Optional["DecisionCache"] = None,
-        candidates: object = ...,
     ) -> Optional[RouteOutcome]: ...
 
     def result(self) -> RouteResult: ...
@@ -94,6 +94,10 @@ class Router(ABC):
 
     #: Registry name of the policy (e.g. ``"limited-global"``).
     name: ClassVar[str]
+
+    #: The Algorithm-3 policy flags of routers that decide by Algorithm 3
+    #: (``None`` for routers whose probes plan some other way).
+    policy: Optional[RoutingPolicy] = None
 
     @abstractmethod
     def route(
@@ -117,6 +121,19 @@ class Router(ABC):
         self, mesh: Mesh, source: Sequence[int], destination: Sequence[int]
     ) -> SetupProbe:
         """A fresh online probe for the simulator to step."""
+
+    def decision_information(self, info: SimulationInfo) -> Optional[SimulationInfo]:
+        """The information this router's Algorithm-3 decisions read online.
+
+        ``info`` is the simulator's own (possibly still-converging)
+        information state.  An Algorithm-3 router returns the view its
+        :attr:`policy` decides against; the simulator steps its probes
+        against that view, and the probe table compiles its decision tables
+        from it.  ``None`` (the default) marks a router that does not decide
+        by Algorithm 3, whose probes the simulator steps as objects against
+        ``info`` itself.
+        """
+        return None
 
 
 _FACTORIES: Dict[str, Callable[[], Router]] = {}

@@ -5,31 +5,18 @@ Wu's minimal adaptive routing keeps block information only at the nodes
 router shares the Algorithm-3 probe with the limited-global model and
 differs only in which nodes hold information: an adjacent-only view is
 derived from the current labeling — and, online, re-derived whenever the
-labeling changes, so the simulator can sweep this policy too.
+labeling changes, so the simulator (object path and probe table alike)
+can sweep this policy too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
-
-from repro.backend import resolve_backend
 from repro.core.block_construction import LabelingState, extract_blocks
-from repro.core.routing import (
-    UNSET,
-    DecisionCache,
-    LinkBlocked,
-    ProbeHeader,
-    RouteOutcome,
-    RouteResult,
-    RoutingPolicy,
-    RoutingProbe,
-    route_offline,
-)
+from repro.core.routing import RoutingPolicy
 from repro.core.state import BlockRecord, InformationState
 from repro.mesh.topology import Mesh
-from repro.routing.registry import Router, SimulationInfo
-
-Coord = Tuple[int, ...]
+from repro.routing.algorithm import AlgorithmRouter
+from repro.routing.registry import SimulationInfo
 
 
 def adjacent_only_information(
@@ -48,152 +35,26 @@ def adjacent_only_information(
     return info
 
 
-class StaticBlockRouter(Router):
-    """Block information at block-adjacent nodes only; no boundaries."""
+class StaticBlockRouter(AlgorithmRouter):
+    """Block information at block-adjacent nodes only; no boundaries.
+
+    Offline and online alike, the router decides against the adjacent-only
+    view of the labeling at hand, cached until that labeling mutates — so a
+    labeling change costs one rebuild per simulation, not one per probe.
+    """
 
     name = "static-block"
 
     def __init__(self) -> None:
-        self.policy = RoutingPolicy(name="static-block", use_boundary_info=False)
-        self._view: Optional[
-            Tuple[LabelingState, int, InformationState, Dict[str, DecisionCache]]
-        ] = None
+        super().__init__(RoutingPolicy(name="static-block", use_boundary_info=False))
+
+    def _derive_view(self, mesh: Mesh, labeling: LabelingState) -> InformationState:
+        return adjacent_only_information(mesh, labeling)
 
     def adjacent_view(self, mesh: Mesh, labeling: LabelingState) -> InformationState:
-        """Adjacent-only information for ``labeling``, rebuilt on mutation.
+        """Adjacent-only information for ``labeling``, rebuilt on mutation."""
+        return self.offline_view(mesh, labeling)  # type: ignore[return-value]
 
-        The one-slot cache is shared by every probe of one simulation, so a
-        labeling change costs one rebuild, not one per in-flight probe.
-        """
-        return self._view_entry(mesh, labeling)[0]
-
-    def _view_entry(
-        self,
-        mesh: Mesh,
-        labeling: LabelingState,
-        backend: Optional[str] = None,
-    ) -> Tuple[InformationState, DecisionCache]:
-        """The cached adjacent-only view plus a decision cache over it.
-
-        ``backend`` picks the cache's classification backend (``None`` →
-        environment default); caches per backend share the one view, so a
-        simulator whose configured backend differs from the environment
-        still batches through the backend it asked for.
-        """
-        resolved = resolve_backend(backend)
-        cached = self._view
-        if (
-            cached is not None
-            and cached[0] is labeling
-            and cached[1] == labeling.mutations
-        ):
-            view, caches = cached[2], cached[3]
-        else:
-            view = adjacent_only_information(mesh, labeling)
-            caches = {}
-            self._view = (labeling, labeling.mutations, view, caches)
-        cache = caches.get(resolved)
-        if cache is None:
-            cache = caches[resolved] = DecisionCache(view, self.policy, backend=resolved)
-        return view, cache
-
-    def route(
-        self,
-        mesh: Mesh,
-        labeling: LabelingState,
-        source: Sequence[int],
-        destination: Sequence[int],
-        *,
-        max_steps: Optional[int] = None,
-    ) -> RouteResult:
-        view, cache = self._view_entry(mesh, labeling)
-        return route_offline(
-            view,
-            source,
-            destination,
-            policy=self.policy,
-            max_steps=max_steps,
-            decision_cache=cache,
-        )
-
-    def probe(
-        self, mesh: Mesh, source: Sequence[int], destination: Sequence[int]
-    ) -> "StaticBlockProbe":
-        return StaticBlockProbe(self, mesh, source, destination)
-
-
-class StaticBlockProbe:
-    """A :class:`RoutingProbe` that sees only adjacent-frame information.
-
-    The simulator hands every probe its own (boundary-propagated)
-    information state; this wrapper swaps in the adjacent-only view of the
-    same labeling before each decision, leaving everything else — header,
-    backtracking, contention handling — to the shared probe machinery.
-    """
-
-    def __init__(
-        self,
-        router: StaticBlockRouter,
-        mesh: Mesh,
-        source: Sequence[int],
-        destination: Sequence[int],
-    ) -> None:
-        self._router = router
-        self._inner = RoutingProbe(mesh, source, destination, policy=router.policy)
-
-    def batch_entry(
-        self, info: SimulationInfo, backend: Optional[str] = None
-    ) -> Optional[Tuple[DecisionCache, ProbeHeader]]:
-        """(serving cache, header) for the engine's vectorized decision batch.
-
-        This probe decides against the adjacent-only view, so the simulator
-        must classify it through the router's cache over that view — not
-        through the engine's own cache.  ``backend`` is the simulator's
-        resolved backend, honored even when it differs from the
-        environment default.
-        """
-        _view, cache = self._router._view_entry(info.mesh, info.labeling, backend)
-        return cache, self._inner.header
-
-    def step(
-        self,
-        info: SimulationInfo,
-        *,
-        link_blocked: Optional[LinkBlocked] = None,
-        decision_cache: Optional[DecisionCache] = None,
-        candidates: object = UNSET,
-    ) -> Optional[RouteOutcome]:
-        # The engine's cache is bound to *its* information state; this probe
-        # decides against the adjacent-only view, so it uses the decision
-        # cache the router keeps alongside that view instead.
-        view, cache = self._router._view_entry(info.mesh, info.labeling)
-        return self._inner.step(
-            view, link_blocked=link_blocked, decision_cache=cache, candidates=candidates
-        )
-
-    def result(self) -> RouteResult:
-        return self._inner.result()
-
-    @property
-    def outcome(self) -> Optional[RouteOutcome]:
-        return self._inner.outcome
-
-    @property
-    def done(self) -> bool:
-        return self._inner.done
-
-    @property
-    def current(self) -> Coord:
-        return self._inner.current
-
-    @property
-    def circuit_stack(self) -> Sequence[Coord]:
-        return self._inner.circuit_stack
-
-    @property
-    def blocked_hops(self) -> int:
-        return self._inner.blocked_hops
-
-    @property
-    def setup_retries(self) -> int:
-        return self._inner.setup_retries
+    def decision_information(self, info: SimulationInfo) -> InformationState:
+        """The adjacent-only view of the simulator's current labeling."""
+        return self.adjacent_view(info.mesh, info.labeling)

@@ -25,27 +25,24 @@ detour statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.backend import VECTOR, resolve_backend
 from repro.core.block_construction import extract_blocks, labeling_round
 from repro.core.boundary import BoundaryProtocol
 from repro.core.identification import IdentificationProtocol
 from repro.core.routing import (
-    UNSET,
     DecisionCache,
     LinkBlocked,
-    ProbeHeader,
     RouteOutcome,
     RoutingPolicy,
-    RoutingProbe,
     probe_step_limit,
 )
 from repro.core.state import InformationState
 from repro.faults.schedule import DynamicFaultSchedule, FaultEventKind
 from repro.mesh.regions import Region
 from repro.mesh.topology import Mesh
-from repro.pcs.circuit import ArrayCircuitLedger, Circuit, CircuitLedger, make_live_ledger
+from repro.pcs.circuit import Circuit, CircuitLedger, make_live_ledger
 from repro.pcs.transfer import TransferModel
 from repro.routing import AlgorithmRouter, Router, SetupProbe, resolve_router
 from repro.simulator.stats import ConvergenceRecord, MessageRecord, SimulationStats
@@ -101,21 +98,15 @@ class SimulationConfig:
     #: offline routing uses).
     max_probe_lifetime: Optional[int] = None
 
-    #: When True (the default) probe decisions are batched per node: the
-    #: simulator resolves each node's decision inputs (neighbor statuses,
-    #: routing geometry) once and shares them across every probe deciding at
-    #: that node — and across steps while the information is unchanged.
-    #: Decisions are identical either way; False keeps the per-probe loop
-    #: (the benchmark baseline).
-    batch_by_node: bool = True
-
     #: Hot-loop implementation for the labeling rounds, the circuit ledger
-    #: and the per-probe decision engine: ``"vector"`` (numpy stencil
-    #: gathers, flat reservation columns, batched direction classification),
-    #: ``"scalar"`` (the pure-Python reference) or ``None`` to resolve via
-    #: the ``REPRO_BACKEND`` environment variable (vector by default).  Both
-    #: produce byte-identical statuses, block extents, reserved-link sets
-    #: and probe decisions — the parity tests hold the two to that.
+    #: and the message phase: ``"vector"`` (numpy stencil gathers, flat
+    #: reservation columns, and Algorithm-3 probes as rows of a
+    #: :class:`~repro.core.probe_table.ProbeTable`), ``"scalar"`` (the
+    #: pure-Python reference: probe objects stepped one by one) or ``None``
+    #: to resolve via the ``REPRO_BACKEND`` environment variable (vector by
+    #: default).  Both produce byte-identical statuses, block extents,
+    #: reserved-link sets and probe decisions — the parity tests hold the
+    #: two to that.
     backend: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -207,34 +198,20 @@ class Simulator:
         )
         self._next_holder = 0
 
-        #: Per-node decision cache for batched stepping; only Algorithm-3
-        #: probes (plain :class:`RoutingProbe`) read the engine's own
-        #: information state, so only those sims get one — the static-block
-        #: and global-information probes derive their own views.
+        #: Per-node decision cache of the object path, built over the
+        #: information the router decides against (rebuilt when the router
+        #: hands back a new view); Algorithm-3 routers only.
         self._decision_cache: Optional[DecisionCache] = None
-        if self.config.batch_by_node:
-            policy = getattr(self.router, "policy", None)
-            if isinstance(policy, RoutingPolicy):
-                self._decision_cache = DecisionCache(
-                    self.info, policy, backend=self._backend
-                )
-
-        #: Candidates of probes that WAITed last step (fenced in at their
-        #: source), keyed by holder: a wait changes neither the header nor
-        #: the information, so the classification is reused instead of
-        #: recomputed — invalidated wholesale when information mutates.
-        self._wait_carryover: Dict[int, object] = {}
-        self._carry_token: Optional[Tuple[int, int]] = None
 
         self._identified_extents: Set[Region] = set()
         self._identifications: List[IdentificationProtocol] = []
         self._boundaries: List[BoundaryProtocol] = []
         self._pending_convergence: List[ConvergenceRecord] = []
-        #: In-flight probes: (message, probe, holder, link-blocked predicate,
-        #: cache-eligible).  The predicate is hoisted here so it is built
-        #: once per probe instead of once per probe per step.
+        #: In-flight probes: (message, probe, holder, link-blocked predicate).
+        #: The predicate is hoisted here so it is built once per probe
+        #: instead of once per probe per step.
         self._probes: List[
-            Tuple[TrafficMessage, SetupProbe, int, Optional[LinkBlocked], bool]
+            Tuple[TrafficMessage, SetupProbe, int, Optional[LinkBlocked]]
         ] = []
         self._probe_lifetime = (
             self.config.max_probe_lifetime
@@ -255,23 +232,21 @@ class Simulator:
             self.schedule.events[-1].time if self.schedule.events else -1
         )
 
-        #: Struct-of-arrays probe engine: when the whole message phase is
-        #: expressible as flat-column passes (plain Algorithm-3 probes, the
-        #: vector decision engine available, an array-backed ledger when
-        #: contended), probes live as rows of a :class:`ProbeTable` and
-        #: ``step`` never builds a probe object.  Decisions, paths and stats
-        #: are byte-identical to the per-object path (the parity suite holds
-        #: the two to that); anything else — scalar backend, the
-        #: static-block/global-information routers, >16-dimensional meshes —
-        #: keeps the object path.
+        #: Struct-of-arrays probe engine, the production message phase: on
+        #: the vector backend, every router that decides by Algorithm 3
+        #: (:meth:`Router.decision_information` is not ``None`` — the
+        #: limited-global family and static-block) keeps its probes as rows
+        #: of a :class:`ProbeTable`, and ``step`` never builds a probe
+        #: object.  Decisions, paths and stats are byte-identical to the
+        #: per-object path (the parity suite holds the two to that).  The
+        #: object path serves the rest: the scalar backend (the parity
+        #: oracle), global-information, and meshes over 16 dimensions.
         self._table: Optional["ProbeTable"] = None
         self._table_cell = -1
         if (
-            self._decision_cache is not None
-            and type(self.router) is AlgorithmRouter
+            self._backend == VECTOR
+            and self.router.decision_information(self.info) is not None
             and 2 * mesh.n_dims <= 32
-            and (self.circuits is None or isinstance(self.circuits, ArrayCircuitLedger))
-            and self._decision_cache._engine() is not None
         ):
             from repro.core.probe_table import ProbeTable
 
@@ -417,10 +392,10 @@ class Simulator:
             self._table.teardown_node(self._table_cell, node, t)
         elif self._probes:
             remaining: List[
-                Tuple[TrafficMessage, SetupProbe, int, Optional[LinkBlocked], bool]
+                Tuple[TrafficMessage, SetupProbe, int, Optional[LinkBlocked]]
             ] = []
             for entry in self._probes:
-                message, probe, holder, _blocked, _cacheable = entry
+                message, probe, holder, _blocked = entry
                 if node in getattr(probe, "circuit_stack", ()):
                     if self.circuits is not None:
                         self.circuits.release(holder)
@@ -502,38 +477,32 @@ class Simulator:
             holder = self._next_holder
             self._next_holder += 1
             blocked = ledger.blocked_for(holder) if ledger is not None else None
-            self._probes.append(
-                (message, probe, holder, blocked, isinstance(probe, RoutingProbe))
-            )
+            self._probes.append((message, probe, holder, blocked))
 
         if ledger is not None:
             # Data transmissions finishing before this step free their links.
             ledger.release_expired(t)
 
+        # The information is frozen during the message phase, so every
+        # probe decides against the same view this step.
+        info = self.router.decision_information(self.info)
         cache = self._decision_cache
+        if info is None:
+            info, cache = self.info, None
+        elif cache is None or cache.info is not info:
+            cache = self._decision_cache = DecisionCache(info, self.router.policy)
         lifetime = self._probe_lifetime
-        precomputed = self._batch_decisions()
-        wait_carry: Dict[int, object] = {}
         remaining: List[
-            Tuple[TrafficMessage, SetupProbe, int, Optional[LinkBlocked], bool]
+            Tuple[TrafficMessage, SetupProbe, int, Optional[LinkBlocked]]
         ] = []
-        for i, entry in enumerate(self._probes):
-            message, probe, holder, blocked, cacheable = entry
-            probe_cache = cache if cacheable else None
-            candidates = precomputed[i] if precomputed is not None else UNSET
+        for entry in self._probes:
+            message, probe, holder, blocked = entry
             if ledger is None:
-                outcome = probe.step(
-                    self.info, decision_cache=probe_cache, candidates=candidates
-                )
+                outcome = probe.step(info, decision_cache=cache)
             else:
                 stack = probe.circuit_stack
                 prev_len, prev_tail = len(stack), stack[-1]
-                outcome = probe.step(
-                    self.info,
-                    link_blocked=blocked,
-                    decision_cache=probe_cache,
-                    candidates=candidates,
-                )
+                outcome = probe.step(info, link_blocked=blocked, decision_cache=cache)
                 # Mirror the probe's partial circuit incrementally (a probe
                 # moves at most one hop per step): a forward hop reserves its
                 # link — visible to probes later in this loop — and a
@@ -565,102 +534,10 @@ class Simulator:
                     else:
                         ledger.release(holder)
             else:
-                if candidates is not UNSET and getattr(probe, "waited", False):
-                    # Fenced in at the source: nothing changed, so this
-                    # step's classification is next step's too.
-                    wait_carry[holder] = candidates
                 remaining.append(entry)
         self._probes = remaining
-        self._wait_carryover = wait_carry
         if ledger is not None:
             self.stats.record_occupancy(ledger.reserved_links)
-
-    def _batch_decisions(self) -> Optional[List[object]]:
-        """Precompute this step's candidate lists for every batchable probe.
-
-        With per-node batching and the vector backend, the decision inputs
-        of all in-flight probes are classified in one vectorized pass per
-        serving :class:`DecisionCache` — the engine's own cache for plain
-        Algorithm-3 probes, and whatever cache a probe's ``batch_entry``
-        hook nominates for probes that decide against a derived view (the
-        static-block adjacent-only view).  This is parity-safe: the
-        information state is frozen during the message phase and a probe's
-        header only changes when that probe itself steps, so precomputing
-        before the loop reads exactly what each probe would have read
-        in-loop.  Returns a list aligned with ``self._probes`` (``None``
-        when nothing was batched); slots left at the UNSET sentinel
-        (global-information's BFS follower has no per-direction
-        classification, and the scalar backend keeps the reference loop)
-        classify as before.
-        """
-        probes = self._probes
-        if not (self.config.batch_by_node and self._backend == VECTOR and probes):
-            return None
-        own = self._decision_cache
-        if all(entry[4] for entry in probes):
-            # Homogeneous batch (the common case): every probe is a plain
-            # RoutingProbe served by the engine's own cache.
-            if own is None or own.backend != VECTOR:
-                return None
-            token = (
-                self.info.labeling.mutations,
-                self.info.record_mutations,
-            )
-            carry = self._wait_carryover
-            if carry and token != self._carry_token:
-                carry.clear()
-            self._carry_token = token
-            out: List[object] = [UNSET] * len(probes)
-            indices: List[int] = []
-            headers: List[ProbeHeader] = []
-            for i, entry in enumerate(probes):
-                probe = entry[1]
-                if probe.outcome is not None:  # type: ignore[attr-defined]
-                    continue
-                if probe.waited:  # type: ignore[attr-defined]
-                    cached = carry.get(entry[2])
-                    if cached is not None:
-                        out[i] = cached
-                        continue
-                indices.append(i)
-                headers.append(probe.header)  # type: ignore[attr-defined]
-            if indices:
-                for i, candidates in zip(
-                    indices, own.batch_candidate_pairs(headers)
-                ):
-                    out[i] = candidates
-            return out
-        groups: Dict[int, Tuple[DecisionCache, List[int], List[ProbeHeader]]] = {}
-        for i, entry in enumerate(probes):
-            probe = entry[1]
-            if probe.done:
-                continue
-            if entry[4]:  # cacheable: a plain RoutingProbe on the engine's info
-                group_cache = own
-                header = probe.header  # type: ignore[attr-defined]
-            else:
-                hook = getattr(probe, "batch_entry", None)
-                if hook is None:
-                    continue
-                pair = hook(self.info, self._backend)
-                if pair is None:
-                    continue
-                group_cache, header = pair
-            if group_cache is None or group_cache.backend != VECTOR:
-                continue
-            group = groups.get(id(group_cache))
-            if group is None:
-                group = groups[id(group_cache)] = (group_cache, [], [])
-            group[1].append(i)
-            group[2].append(header)
-        if not groups:
-            return None
-        out = [UNSET] * len(probes)
-        for group_cache, indices, headers in groups.values():
-            batch = group_cache.batch_candidate_pairs(headers)
-            for i, candidates in zip(indices, batch):
-                out[i] = candidates
-        return out
 
     def _finish_probe(
         self, message: TrafficMessage, probe: SetupProbe, *, finish_step: Optional[int]
@@ -732,7 +609,7 @@ class Simulator:
         # Flush probes still in flight when the step budget ran out.
         if self._table is not None:
             self._table.flush_cell(self._table_cell)
-        for message, probe, holder, _blocked, _cacheable in self._probes:
+        for message, probe, holder, _blocked in self._probes:
             self._finish_probe(message, probe, finish_step=None)
             if self.circuits is not None:
                 self.circuits.release(holder)

@@ -11,10 +11,12 @@ scenarios, plus randomized configurations.  The stacked sweep engine
 export level: a multi-shape, multi-policy grid must serialize identically
 to the serial runner's output.
 
-Policies whose routers the table cannot host (``static-block``,
-``global-information``) construct with ``sim._table is None`` already; for
-them the comparison degenerates to a determinism check of the object path,
-which keeps the matrix uniform and guards the eligibility gate itself.
+Every Algorithm-3 router runs on the table, static-block included (its
+decisions read the adjacent-only view the router rebuilds on every
+labeling change).  ``global-information`` plans with a BFS and constructs
+with ``sim._table is None`` already; for it the comparison degenerates to
+a determinism check of the object path, which keeps the matrix uniform and
+guards the eligibility gate itself.
 """
 
 import numpy as np
@@ -30,7 +32,7 @@ SCENARIOS = ("random", "hotspot", "transpose", "bursty")
 
 
 def _cell(policy, scenario, contention, *, shape=(6, 6), faults=2,
-          messages=10, seed=3, flits=16):
+          messages=10, seed=3, flits=16, interval=6):
     spec = ExperimentSpec(
         name="probe-parity",
         mode="simulate",
@@ -38,7 +40,7 @@ def _cell(policy, scenario, contention, *, shape=(6, 6), faults=2,
         policies=(policy,),
         scenarios=(scenario,),
         fault_counts=(faults,),
-        fault_intervals=(6,),
+        fault_intervals=(interval,),
         lams=(2,),
         traffic_sizes=(messages,),
         seeds=(seed,),
@@ -94,17 +96,32 @@ class TestProbeTableScalarParity:
             )
             assert _fingerprint(_run(cell, True)) == _fingerprint(_run(cell, False)), cell
 
-    def test_table_engaged_for_eligible_policy(self):
+    @pytest.mark.parametrize("shape", ((8, 8), (4, 4, 4)))
+    def test_parity_static_block_dynamic_faults_contended(self, shape):
+        """Faults land while static-block probes are in flight: each
+        labeling change rebuilds the adjacent-only view, and the table's
+        decision tables must follow every rebuild."""
+        cell = _cell("static-block", "random", True, shape=shape, faults=4,
+                     messages=24, seed=5, interval=2)
+        table_stats = _run(cell, True)
+        assert len(table_stats.convergence) == 4  # every fault fired mid-run
+        assert _fingerprint(table_stats) == _fingerprint(_run(cell, False))
+
+    @pytest.mark.parametrize("policy", ("limited-global", "static-block"))
+    def test_table_engaged_for_algorithm_policies(self, policy):
         """The matrix above only means something if eligible cells really
         run on the table: guard the eligibility gate in both directions.
         Under the scalar backend no cell is eligible — the table requires
         the vector decision engine."""
-        eligible = _build_simulate_sim(_cell("limited-global", "random", True))._table
+        eligible = _build_simulate_sim(_cell(policy, "random", True))._table
         if resolve_backend() == VECTOR:
             assert eligible is not None
         else:
             assert eligible is None
-        assert _build_simulate_sim(_cell("static-block", "random", True))._table is None
+
+    def test_table_not_engaged_for_global_information(self):
+        cell = _cell("global-information", "random", True)
+        assert _build_simulate_sim(cell)._table is None
 
 
 class TestStackedSweepParity:
@@ -112,14 +129,16 @@ class TestStackedSweepParity:
         """Multi-shape, multi-policy grid: stacked JSON == serial JSON.
 
         The grid deliberately mixes two mesh shapes (two stacked groups),
-        a probe-table-ineligible policy (per-cell serial fallback inside
-        the stacked runner) and contended circuit setup.
+        static-block cells stacked beside the limited-global family, a
+        probe-table-ineligible policy (per-cell serial fallback inside the
+        stacked runner) and contended circuit setup.
         """
         spec = ExperimentSpec(
             name="stacked-parity",
             mode="simulate",
             mesh_shapes=((6, 6), (8, 8)),
-            policies=("limited-global", "no-information", "static-block"),
+            policies=("limited-global", "no-information", "static-block",
+                      "global-information"),
             scenarios=("transpose",),
             fault_counts=(2,),
             fault_intervals=(5,),

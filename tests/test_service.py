@@ -391,6 +391,13 @@ class TestServiceHTTP:
         assert status == 400
         assert "'fault_counts'" in body["error"]
 
+    def test_submit_rejects_schemaless_spec(self, live):
+        payload = spec_payload()
+        del payload["schema"]
+        status, _, body = request(live, "POST", "/v1/jobs", payload)
+        assert status == 400
+        assert "'schema'" in body["error"]
+
     def test_submit_rejects_non_json_body(self, live):
         status, _, body = request(live, "POST", "/v1/jobs", b"not json")
         assert status == 400

@@ -23,7 +23,7 @@ def mixed_spec(**overrides) -> ExperimentSpec:
         name="shard-unit",
         mode="simulate",
         mesh_shapes=((6, 6), (8, 8)),
-        policies=("limited-global", "static-block"),
+        policies=("limited-global", "global-information"),
         scenarios=("transpose",),
         fault_counts=(2,),
         fault_intervals=(5,),
@@ -47,6 +47,11 @@ class TestEligibility:
         for index, cell in indexed(mixed_spec()):
             expected = cell.policy == "limited-global"
             assert probe_table_eligible(cell) is expected, cell.policy
+
+    @VECTOR_ONLY
+    def test_static_block_eligible(self):
+        for index, cell in indexed(mixed_spec(policies=("static-block",))):
+            assert probe_table_eligible(cell) is True
 
     def test_scalar_backend_never_eligible(self):
         for index, cell in indexed(mixed_spec()):
@@ -81,7 +86,7 @@ class TestPlanner:
             assert len({cell.shape for _, cell in shard.cells}) == 1
             assert all(cell.policy == "limited-global" for _, cell in shard.cells)
         assert len(serial) == 1
-        assert all(cell.policy == "static-block" for _, cell in serial[0].cells)
+        assert all(cell.policy == "global-information" for _, cell in serial[0].cells)
 
     @VECTOR_ONLY
     def test_large_group_splits_across_workers(self):

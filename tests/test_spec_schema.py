@@ -1,15 +1,15 @@
-"""Tests for the versioned spec/result schemas and the deprecation shims.
+"""Tests for the versioned spec/result schemas and the keyword-only API.
 
 ``repro.spec/v1`` is parsed by one canonical parser —
 :meth:`ExperimentSpec.from_dict` — shared by the sweep CLI flags,
 ``--spec FILE.json`` and the HTTP service body.  These tests pin the
 round-trip, the rejection matrix (unknown keys, wrong types, out-of-range
-values, all naming the offending field), the one-release deprecation
-shims, and the ``on_cell_done`` callback-exception fix.
+values, a missing ``schema``, all naming the offending field), the
+rejection of the historic positional call forms, and the ``on_cell_done``
+callback-exception fix.
 """
 
 import json
-import warnings
 
 import pytest
 
@@ -21,7 +21,6 @@ from repro.experiments import (
     ExperimentSpec,
     run_batch,
 )
-from repro.experiments.stacked import run_batch_stacked
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -103,12 +102,11 @@ class TestSpecRejections:
         with pytest.raises(ValueError, match="unsupported spec schema"):
             ExperimentSpec.from_dict(payload)
 
-    def test_missing_schema_warns_but_parses(self):
+    def test_missing_schema_rejected(self):
         payload = self.base()
         del payload["schema"]
-        with pytest.warns(DeprecationWarning, match="schema"):
-            spec = ExperimentSpec.from_dict(payload)
-        assert spec == small_spec()
+        with pytest.raises(ValueError, match="'schema'"):
+            ExperimentSpec.from_dict(payload)
 
     def test_unknown_key_named(self):
         payload = self.base()
@@ -178,39 +176,34 @@ class TestResultSchema:
         assert again.to_json() == batch.to_json()
 
 
-class TestDeprecationShims:
-    def test_positional_spec_warns_and_matches_keyword(self):
-        with pytest.warns(DeprecationWarning, match="positional ExperimentSpec"):
-            legacy = ExperimentSpec("legacy", "simulate", ((5, 5),))
-        assert legacy == ExperimentSpec(
-            name="legacy", mode="simulate", mesh_shapes=((5, 5),)
-        )
+class TestHistoricFormsFailClosed:
+    """The expired one-release shims are gone: each historic form raises."""
 
-    def test_keyword_spec_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            small_spec()
+    def test_positional_spec_rejected(self):
+        with pytest.raises(TypeError, match="positional"):
+            ExperimentSpec("legacy", "simulate", ((5, 5),))
 
-    def test_positional_duplicate_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values for 'name'"):
-                ExperimentSpec("twice", name="twice")
+    def test_keyword_spec_still_builds(self):
+        assert small_spec().name == "schema-unit"
 
-    def test_run_batch_positional_options_warn(self):
-        spec = small_spec(seeds=(0,))
-        with pytest.warns(DeprecationWarning, match="positional run_batch"):
-            legacy = run_batch(spec, 1, "serial")
-        assert legacy.to_json() == run_batch(spec, workers=1, engine="serial").to_json()
+    def test_run_batch_positional_options_rejected(self):
+        with pytest.raises(TypeError, match="positional"):
+            run_batch(small_spec(seeds=(0,)), 1, "serial")
 
     def test_run_batch_accepts_spec_payload_dict(self):
         spec = small_spec(seeds=(0,))
         assert run_batch(spec.to_dict()).to_json() == run_batch(spec).to_json()
 
-    def test_run_batch_stacked_warns_and_matches_engine(self):
-        spec = small_spec(seeds=(0,))
-        with pytest.warns(DeprecationWarning, match="run_batch_stacked"):
-            legacy = run_batch_stacked(spec)
-        assert legacy.to_json() == run_batch(spec, engine="stacked").to_json()
+    def test_run_batch_rejects_schemaless_payload(self):
+        payload = small_spec(seeds=(0,)).to_dict()
+        del payload["schema"]
+        with pytest.raises(ValueError, match="'schema'"):
+            run_batch(payload)
+
+    def test_run_batch_stacked_removed(self):
+        import repro.experiments.stacked as stacked
+
+        assert not hasattr(stacked, "run_batch_stacked")
 
     def test_all_is_the_stable_surface(self):
         import repro.experiments as experiments
@@ -218,7 +211,6 @@ class TestDeprecationShims:
         for name in ("ExperimentSpec", "run_batch", "BatchResult",
                      "BatchCancelled", "SPEC_SCHEMA", "RESULT_SCHEMA"):
             assert name in experiments.__all__
-        # run_batch_stacked is deprecated, not part of the stable surface.
         assert "run_batch_stacked" not in experiments.__all__
 
 

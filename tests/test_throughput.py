@@ -217,40 +217,7 @@ class TestStreamingSourceParity:
 
 
 class TestBatchedStepping:
-    """Per-node batched decisions are byte-identical to the per-probe loop."""
-
-    @pytest.mark.parametrize("contention", [False, True])
-    @pytest.mark.parametrize(
-        "router", ["limited-global", "no-information", "static-block",
-                   "global-information"]
-    )
-    def test_batched_equals_legacy(self, contention, router):
-        from repro.workloads.congestion import transpose_scenario
-
-        results = []
-        for batch in (True, False):
-            scenario = transpose_scenario(radix=6, n_dims=2, dynamic_faults=3, seed=2)
-            sim = Simulator(
-                scenario.mesh,
-                schedule=scenario.schedule,
-                traffic=list(scenario.traffic),
-                config=SimulationConfig(
-                    router=router, contention=contention, batch_by_node=batch
-                ),
-            )
-            stats = sim.run().stats
-            results.append(
-                (
-                    stats.summary(),
-                    [
-                        (m.message.source, m.message.destination,
-                         m.result.outcome.value, m.result.hops,
-                         tuple(m.result.path), m.finish_step)
-                        for m in stats.messages
-                    ],
-                )
-            )
-        assert results[0] == results[1]
+    """The per-node decision cache the object path steps probes with."""
 
     def test_decision_cache_tracks_information_changes(self):
         from repro.core.routing import DecisionCache, RoutingPolicy

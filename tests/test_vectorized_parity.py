@@ -1,7 +1,7 @@
 """Scalar-vs-vectorized parity: labeling, ledger, decisions, index tables.
 
 The numpy-vectorized labeling engine, the array-backed reservation ledger
-and the batched decision engine must be *byte-identical* to their
+and the probe table's decision classification must be *byte-identical* to their
 pure-Python reference implementations — same statuses, same mutation
 counters, same block extents, same reserved-link sets, same candidate
 classifications, same simulation statistics.  These tests drive both
@@ -22,6 +22,7 @@ from repro.core.block_construction import (
     labeling_round,
     run_block_construction,
 )
+from repro.core.decision import DecisionTables, VectorDecisionEngine, classify_rows
 from repro.core.distribution import distribute_information
 from repro.core.routing import (
     DecisionCache,
@@ -166,10 +167,10 @@ class TestPolicyContentionParity:
     def test_policy_parity_both_contention_modes(self, policy, contention):
         """Acceptance gate: every registry policy x contention mode, both backends.
 
-        With the vector backend the simulator classifies probe decisions
-        through the batched engine (and, under contention, scans candidates
-        against the array ledger's occupancy columns); the scalar backend
-        keeps the per-probe reference loop.  Stats and per-message paths
+        With the vector backend Algorithm-3 probes run as probe-table rows
+        (classified in one pass and, under contention, scanned against the
+        array ledger's holder column); the scalar backend keeps the
+        per-probe reference loop.  Stats and per-message paths
         must be byte-identical.
         """
         mesh = Mesh.cube(8, 2)
@@ -208,7 +209,7 @@ class TestPolicyContentionParity:
 
 
 # --------------------------------------------------------------------- #
-# batched decision engine
+# vectorized decision classification
 # --------------------------------------------------------------------- #
 
 #: The five Algorithm-3 policies with their offline information view
@@ -254,7 +255,7 @@ def _decision_population(mesh, info, policy, rng, count):
         min_distance=max(2, mesh.diameter // 2),
         exclude=list(labeling.block_nodes),
     )
-    cache = DecisionCache(info, policy, backend=SCALAR)
+    cache = DecisionCache(info, policy)
     headers = []
     for i, (src, dst) in enumerate(pairs):
         probe = RoutingProbe(mesh, src, dst, policy=policy)
@@ -279,12 +280,66 @@ def _decision_population(mesh, info, policy, rng, count):
     return headers
 
 
-class TestDecisionBatchParity:
-    """Vectorized batch classification == scalar reference, byte-identical."""
+def _classify(engine, headers):
+    """Classify ``headers`` the way the probe table does.
 
+    Each header becomes one row of index columns (current node,
+    destination, reversed incoming direction, packed used-direction word,
+    at-source flag) fed to :func:`classify_rows`; returns per header
+    ``None`` (rule 1) or the ordered candidate directions.
+    """
+    mesh = engine.mesh
+    dirs = mesh.directions
+    column = {d: j for j, d in enumerate(dirs)}
+    cur = np.array([mesh.index_of(h.current) for h in headers], dtype=np.int32)
+    dest = np.array([mesh.index_of(h.destination) for h in headers], dtype=np.int32)
+    rev = np.array(
+        [
+            -1 if h.incoming_direction is None else column[h.incoming_direction.reversed()]
+            for h in headers
+        ],
+        dtype=np.int8,
+    )
+    used = np.array(
+        [sum(1 << column[d] for d in h.used_at(h.current)) for h in headers],
+        dtype=np.uint32,
+    )
+    at_source = np.array([h.current == h.source for h in headers], dtype=bool)
+    tables, _token = engine.tables()
+    backtrack, sorted_dirs, counts = classify_rows(
+        tables, cur, cur, dest, rev, used, at_source
+    )
+    return [
+        None if rule_one else [dirs[j] for j in row[:count]]
+        for rule_one, row, count in zip(
+            backtrack.tolist(), sorted_dirs.tolist(), counts.tolist()
+        )
+    ]
+
+
+def _reference(info, headers, policy, cache=None):
+    """The scalar oracle's candidate directions per header."""
+    out = []
+    for header in headers:
+        candidates = decision_candidates(info, header, policy=policy, cache=cache)
+        out.append(None if candidates is None else [d for _, d in candidates])
+    return out
+
+
+class TestDecisionBatchParity:
+    """Probe-table classification (:func:`classify_rows`) == scalar oracle."""
+
+    @pytest.mark.parametrize(
+        "detour_table", (True, False), ids=("detour-table", "constraint-rows")
+    )
     @pytest.mark.parametrize("policy_name", sorted(DECISION_POLICIES))
     @pytest.mark.parametrize("shape,seed", [((12, 12), 0), ((12, 12), 1), ((7, 7, 7), 2)])
-    def test_randomized_decision_sweep(self, policy_name, shape, seed):
+    def test_randomized_decision_sweep(
+        self, policy_name, shape, seed, detour_table, monkeypatch
+    ):
+        if not detour_table:
+            # Meshes past the cap test each node's constraint rows directly.
+            monkeypatch.setattr(DecisionTables, "DETOUR_TABLE_CAP", 0)
         mesh = Mesh(shape)
         rng = np.random.default_rng(seed)
         faults = uniform_random_faults(mesh, max(4, mesh.size // 80), rng, margin=1)
@@ -295,26 +350,13 @@ class TestDecisionBatchParity:
         headers = _decision_population(mesh, info, policy, rng, count=48)
         assert headers, "population generation produced no in-flight headers"
 
-        scalar_cache = DecisionCache(info, policy, backend=SCALAR)
-        expected = [
-            decision_candidates(info, h, policy=policy, cache=scalar_cache)
-            for h in headers
-        ]
-        vector_cache = DecisionCache(info, policy, backend=VECTOR)
-        assert vector_cache.batch_candidates(headers) == expected
-        # The compact simulator form must carry the same directions in the
-        # same order, with each next hop and link slot matching the mesh.
-        for header, classified, compact in zip(
-            headers, expected, vector_cache.batch_candidate_pairs(headers)
-        ):
-            if classified is None:
-                assert compact is None
-                continue
-            node = header.current
-            assert [d for _, d in classified] == [d for d, _, _ in compact]
-            for direction, nxt, slot in compact:
-                assert nxt == direction.apply(node)
-                assert slot == mesh.link_index(node, nxt)
+        engine = VectorDecisionEngine(info, policy)
+        expected = _reference(info, headers, policy, DecisionCache(info, policy))
+        assert _classify(engine, headers) == expected
+        packed = engine.tables()[0].packed()
+        assert (packed.detour_bits is not None) == (
+            detour_table and packed.has_constraints
+        )
 
     def test_rule_one_returns_none(self):
         """A probe on a disabled node away from its source gets ``None``."""
@@ -326,28 +368,27 @@ class TestDecisionBatchParity:
         info = distribute_information(mesh, labeling)
         policy = RoutingPolicy.limited_global()
         node = disabled[0]
-        entered = RoutingProbe(mesh, (0, 0), (7, 7), policy=policy)
-        entered.header.stack = [(0, 0), node]
+        outside = next(nb for nb in mesh.neighbors(node) if labeling.is_operational(nb))
+        entered = RoutingProbe(mesh, outside, (7, 7), policy=policy)
+        entered.header.push(node)
         starting = RoutingProbe(mesh, node, (7, 7), policy=policy)
-        cache = DecisionCache(info, policy, backend=VECTOR)
-        batch = cache.batch_candidates([entered.header, starting.header])
+        headers = [entered.header, starting.header]
+        batch = _classify(VectorDecisionEngine(info, policy), headers)
         assert batch[0] is None
         assert batch[1] is not None  # rule 1 never strands a probe at home
-        assert batch == [
-            decision_candidates(info, h, policy=policy)
-            for h in (entered.header, starting.header)
-        ]
+        assert batch == _reference(info, headers, policy)
 
-    def test_batch_tracks_information_mutations(self):
+    def test_tables_track_information_mutations(self):
         """The engine's tables refresh when labeling or records change."""
         mesh = Mesh.cube(8, 2)
         labeling = build_blocks(mesh, [(3, 3)]).state
         info = distribute_information(mesh, labeling)
         policy = RoutingPolicy.limited_global()
-        cache = DecisionCache(info, policy, backend=VECTOR)
+        engine = VectorDecisionEngine(info, policy)
         header = RoutingProbe(mesh, (5, 3), (7, 7), policy=policy).header
-        before = cache.batch_candidates([header])
-        assert before == [decision_candidates(info, header, policy=policy)]
+        _tables, token_before = engine.tables()
+        before = _classify(engine, [header])
+        assert before == _reference(info, [header], policy)
         # Grow the block: (5,3)'s -x neighbor turns faulty, so its usable
         # direction set (and with it the candidate list) must change.
         labeling.make_faulty((4, 3))
@@ -357,8 +398,10 @@ class TestDecisionBatchParity:
         info.node_blocks.update(fresh.node_blocks)
         info.node_boundaries.update(fresh.node_boundaries)
         info.record_mutations += 1
-        after = cache.batch_candidates([header])
-        assert after == [decision_candidates(info, header, policy=policy)]
+        _tables, token_after = engine.tables()
+        assert token_after != token_before
+        after = _classify(engine, [header])
+        assert after == _reference(info, [header], policy)
         assert after != before
 
 
@@ -455,53 +498,6 @@ class TestLedgerParity:
         assert not vector.is_blocked(2, (0, 0), (1, 0))
         assert vector.reserved_links == 0
         assert vector.active_holders == 0
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_circuit_table_mesh_mode_parity(self, seed):
-        """Dict-keyed and occupancy-column CircuitTable behave identically."""
-        from repro.pcs.circuit import CircuitTable, ReservationError
-
-        mesh = Mesh.cube(6, 2)
-        rng = np.random.default_rng(seed)
-        plain = CircuitTable()
-        arrayed = CircuitTable(mesh=mesh)
-        reserved = []
-        for _ in range(120):
-            op = rng.integers(0, 3)
-            if op < 2:  # try to reserve a random-walk circuit
-                node = tuple(int(c) for c in rng.integers(0, 6, size=2))
-                path = [node]
-                for _ in range(int(rng.integers(1, 6))):
-                    moves = [n for n in mesh.neighbors(path[-1]) if n not in path]
-                    if not moves:
-                        break
-                    path.append(moves[int(rng.integers(0, len(moves)))])
-                if len(path) < 2:
-                    continue
-                circuit = Circuit(tuple(path))
-                conflicts = plain.conflicts(circuit)
-                assert arrayed.conflicts(circuit) == conflicts
-                if conflicts:
-                    with pytest.raises(ReservationError):
-                        plain.reserve(circuit)
-                    with pytest.raises(ReservationError):
-                        arrayed.reserve(circuit)
-                else:
-                    plain.reserve(circuit)
-                    arrayed.reserve(circuit)
-                    reserved.append(circuit)
-            elif reserved:  # release one (and exercise the unknown no-op)
-                circuit = reserved.pop(int(rng.integers(0, len(reserved))))
-                plain.release(circuit)
-                arrayed.release(circuit)
-                plain.release(circuit)
-                arrayed.release(circuit)
-            assert plain.reserved_links == arrayed.reserved_links
-            assert plain.circuits == arrayed.circuits
-        for circuit in reserved:
-            plain.release(circuit)
-            arrayed.release(circuit)
-        assert plain.reserved_links == arrayed.reserved_links == 0
 
     def test_link_index_rejects_out_of_mesh_endpoints(self):
         """Adjacent but off-mesh coordinate pairs must not map to a slot."""
