@@ -13,9 +13,8 @@ Run with::
 """
 
 from repro import Mesh, build_blocks, route_offline
-from repro.baselines import route_no_information
 from repro.core.distribution import distribute_information_with_report
-from repro.core.state import InformationState
+from repro.routing import route_with
 
 
 def main() -> None:
@@ -49,8 +48,7 @@ def main() -> None:
     )
 
     # 5. The same routing without any fault information.
-    bare = InformationState(mesh=mesh, labeling=result.state)
-    uninformed = route_no_information(bare, source, destination)
+    uninformed = route_with("no-information", mesh, result.state, source, destination)
     print(
         f"  no information : {uninformed.outcome.value}, {uninformed.hops} hops, "
         f"{uninformed.detours} detours, {uninformed.backtrack_hops} backtracks"

@@ -58,12 +58,8 @@ from repro.mesh.topology import Mesh
 from repro.routing import available_routers, resolve_router
 from repro.simulator.engine import SimulationConfig, Simulator
 from repro.throughput import MeasurementWindows, load_curves, saturation_for_policy
-from repro.workloads.congestion import (
-    bursty_scenario,
-    hotspot_scenario,
-    transpose_scenario,
-)
-from repro.workloads.scenarios import parametric_block_scenario, random_dynamic_scenario
+from repro.workloads.congestion import simulate_scenario
+from repro.workloads.scenarios import parametric_block_scenario
 from repro.workloads.traffic import random_pairs
 
 Coord = Tuple[int, ...]
@@ -306,10 +302,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default="auto",
-        help="cell execution engine: 'auto' (default) shards same-shape "
-        "stacked probe-table groups and serial chunks across the workers; "
-        "'serial' runs one cell at a time; 'stacked' forces the lockstep "
-        "probe-table engine — all three emit byte-identical JSON",
+        help="cell execution engine: 'auto' (default) steps same-shape "
+        "probe-table groups in lockstep and shards them and serial chunks "
+        "across the workers; 'serial' runs one cell at a time — both emit "
+        "byte-identical JSON",
     )
     cache_group = sweep.add_mutually_exclusive_group()
     cache_group.add_argument(
@@ -488,8 +484,9 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     shape = _mesh_shape_from_args(args)
-    if args.scenario == "hotspot":
-        scenario = hotspot_scenario(
+    try:
+        scenario = simulate_scenario(
+            args.scenario,
             shape=shape,
             messages=args.messages,
             dynamic_faults=args.faults,
@@ -497,38 +494,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             flits=args.flits,
             seed=args.seed,
         )
-    elif args.scenario == "transpose":
-        if len(set(shape)) != 1:
-            raise argparse.ArgumentTypeError(
-                "transpose traffic requires a uniform (cubic) mesh"
-            )
-        scenario = transpose_scenario(
-            radix=shape[0],
-            n_dims=len(shape),
-            limit=args.messages,
-            dynamic_faults=args.faults,
-            interval=args.interval,
-            flits=args.flits,
-            seed=args.seed,
-        )
-    elif args.scenario == "bursty":
-        scenario = bursty_scenario(
-            shape=shape,
-            bursts=max(1, args.messages // 6),
-            burst_size=min(6, args.messages),
-            dynamic_faults=args.faults,
-            interval=args.interval,
-            flits=args.flits,
-            seed=args.seed,
-        )
-    else:
-        scenario = random_dynamic_scenario(
-            shape=shape,
-            dynamic_faults=args.faults,
-            interval=args.interval,
-            messages=args.messages,
-            seed=args.seed,
-        )
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     recorder = profiler = None
     if args.trace_out:
         from repro.obs import StepRecorder

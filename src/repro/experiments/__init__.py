@@ -8,7 +8,7 @@ whole fleets of scenarios can be swept, compared and persisted uniformly:
   traffic sizes and seeds, expanded into deterministic
   :class:`ExperimentCell` items;
 * :mod:`repro.experiments.runner` — :func:`run_batch`, executing the grid
-  through the serial, stacked or auto-sharded engine, fanning shards out
+  through the serial or the auto (stacked + sharded) engine, fanning shards out
   across a persistent process pool with per-cell deterministic seeding
   (every engine and worker count produces identical results);
 * :mod:`repro.experiments.shard` — the planner partitioning cells by

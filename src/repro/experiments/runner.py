@@ -2,20 +2,20 @@
 
 :func:`run_cell` turns one :class:`~repro.experiments.spec.ExperimentCell`
 into a :class:`~repro.experiments.results.CellResult`; :func:`run_batch`
-runs a whole grid through one of three engines:
+runs a whole grid through one of two engines:
 
-* ``engine="serial"`` — one cell at a time; ``workers > 1`` fans chunks of
-  cells out over a process pool and fires the progress hook in completion
-  order (results stay in grid order);
-* ``engine="stacked"`` — same-shape probe-table-eligible simulate cells
-  step in lockstep on shared :class:`~repro.core.probe_table.ProbeTable`
-  groups (see :mod:`repro.experiments.stacked`);
-* ``engine="auto"`` (the default) — the composition of both: the planner
-  (:mod:`repro.experiments.shard`) partitions cells into stacked and
-  serial shards and dispatches them across a *persistent*
-  :class:`~concurrent.futures.ProcessPoolExecutor`, so ``workers=4`` runs
-  four stacked groups concurrently instead of choosing between the two
-  fast paths.
+* ``engine="auto"`` (the default) — same-shape probe-table-eligible
+  simulate cells step in lockstep on shared
+  :class:`~repro.core.probe_table.ProbeTable` groups (see
+  :mod:`repro.experiments.stacked`), everything else cell by cell; with
+  ``workers > 1`` the planner (:mod:`repro.experiments.shard`) partitions
+  cells into stacked and serial shards and dispatches them across a
+  *persistent* :class:`~concurrent.futures.ProcessPoolExecutor`, so
+  ``workers=4`` runs four stacked groups concurrently;
+* ``engine="serial"`` — one cell at a time, the per-cell reference the
+  parity tests compare against; ``workers > 1`` fans chunks of cells out
+  over a process pool and fires the progress hook in completion order
+  (results stay in grid order).
 
 Every cell is self-contained and rebuilds its scenario from primitive cell
 parameters plus the deterministic ``cell_seed``, so cells are cheap to
@@ -58,22 +58,18 @@ from repro.experiments.shard import (
     plan_shards,
 )
 from repro.experiments.spec import ExperimentCell, ExperimentSpec
-from repro.faults.injection import clustered_faults, dynamic_schedule, uniform_random_faults
+from repro.faults.injection import clustered_faults, uniform_random_faults
 from repro.mesh.topology import Mesh
 from repro.obs.telemetry import PoolIncident, ShardRecord, SweepTelemetry
 from repro.routing import resolve_router
 from repro.simulator.engine import SimulationConfig, Simulator
-from repro.workloads.congestion import (
-    bursty_scenario,
-    hotspot_scenario,
-    transpose_scenario,
-)
-from repro.workloads.traffic import random_pairs, to_traffic
+from repro.workloads.congestion import simulate_scenario
+from repro.workloads.traffic import random_pairs
 
 Coord = Tuple[int, ...]
 
 #: Engines :func:`run_batch` accepts.
-ENGINES = ("auto", "serial", "stacked")
+ENGINES = ("auto", "serial")
 
 
 class BatchCancelled(BaseException):
@@ -134,69 +130,26 @@ def _run_offline_cell(cell: ExperimentCell) -> Dict[str, float]:
     }
 
 
-def _simulate_scenario(cell: ExperimentCell):
-    """Mesh/schedule/traffic for one simulate-mode cell's traffic family.
-
-    Every family derives from ``cell.cell_seed`` alone, so all policies at
-    one configuration point replay the identical scenario.
-    """
-    if cell.scenario == "hotspot":
-        scenario = hotspot_scenario(
-            shape=cell.shape,
-            messages=cell.messages,
-            dynamic_faults=cell.faults,
-            interval=cell.interval,
-            flits=cell.flits,
-            seed=cell.cell_seed,
-        )
-        return scenario.mesh, scenario.schedule, list(scenario.traffic)
-    if cell.scenario == "transpose":
-        scenario = transpose_scenario(
-            radix=cell.shape[0],
-            n_dims=len(cell.shape),
-            limit=cell.messages,
-            dynamic_faults=cell.faults,
-            interval=cell.interval,
-            flits=cell.flits,
-            seed=cell.cell_seed,
-        )
-        return scenario.mesh, scenario.schedule, list(scenario.traffic)
-    if cell.scenario == "bursty":
-        scenario = bursty_scenario(
-            shape=cell.shape,
-            bursts=max(1, cell.messages // 6),
-            burst_size=min(6, cell.messages),
-            dynamic_faults=cell.faults,
-            interval=cell.interval,
-            flits=cell.flits,
-            seed=cell.cell_seed,
-        )
-        return scenario.mesh, scenario.schedule, list(scenario.traffic)
-    # "random": the historic sweep construction (cell seeds now also hash
-    # the scenario/flits axes, so derived values differ from old exports).
-    mesh = Mesh(cell.shape)
-    rng = np.random.default_rng(cell.cell_seed)
-    fault_nodes = uniform_random_faults(mesh, cell.faults, rng, margin=1)
-    schedule = dynamic_schedule(fault_nodes, start_time=2, interval=cell.interval)
-    pairs = random_pairs(
-        mesh,
-        cell.messages,
-        rng,
-        min_distance=max(1, mesh.diameter // 2),
-        exclude=fault_nodes,
-    )
-    traffic = to_traffic(pairs, start_time=0, spacing=1, tag="sweep", flits=cell.flits)
-    return mesh, schedule, traffic
-
-
 def _build_simulate_sim(cell: ExperimentCell) -> Simulator:
     """The simulator of one simulate-mode cell (shared with the stacked
-    runner, so both engines construct byte-identical scenarios)."""
-    mesh, schedule, traffic = _simulate_scenario(cell)
+    runner, so both engines construct byte-identical scenarios).
+
+    Every traffic family derives from ``cell.cell_seed`` alone, so all
+    policies at one configuration point replay the identical scenario.
+    """
+    scenario = simulate_scenario(
+        cell.scenario,
+        shape=cell.shape,
+        messages=cell.messages,
+        dynamic_faults=cell.faults,
+        interval=cell.interval,
+        flits=cell.flits,
+        seed=cell.cell_seed,
+    )
     return Simulator(
-        mesh,
-        schedule=schedule,
-        traffic=traffic,
+        scenario.mesh,
+        schedule=scenario.schedule,
+        traffic=list(scenario.traffic),
         config=SimulationConfig(
             lam=cell.lam, router=cell.policy, contention=cell.contention
         ),
@@ -557,11 +510,9 @@ def run_batch(
     keyword-only.
 
     ``engine`` selects the execution strategy (see module docstring):
-    ``"auto"`` shards stacked groups and serial chunks across ``workers``
-    processes, ``"serial"`` runs cell-at-a-time (chunked across workers),
-    ``"stacked"`` forces the lockstep probe-table engine — with
-    ``workers > 1`` stacked shards are dispatched across the pool, so the
-    historic single-process restriction is gone.  Because each cell
+    ``"auto"`` stacks eligible cells and shards stacked groups and serial
+    chunks across ``workers`` processes, ``"serial"`` runs cell-at-a-time
+    (chunked across workers).  Because each cell
     reseeds from its own deterministic ``cell_seed``, the outcome —
     including the canonical JSON export — is identical for every engine
     and worker count.
@@ -649,7 +600,7 @@ def run_batch(
                 shard_timeout=shard_timeout,
             )
         elif workers <= 1:
-            # auto/stacked, single process: stack eligible cells in-process
+            # auto, single process: stack eligible cells in-process
             # (one lockstep group per shape), everything else serially.
             from repro.experiments.stacked import run_cells_stacked
 

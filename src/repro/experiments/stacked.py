@@ -22,7 +22,7 @@ global-information, throughput/offline modes) fall back to the serial
 path, cell by cell.
 
 :func:`run_cells_stacked` is the composable unit — it runs any indexed
-subset of a grid's cells and is what ``run_batch(engine="stacked")`` and a
+subset of a grid's cells and is what ``run_batch(engine="auto")`` and a
 sharded pool worker execute.
 """
 

@@ -9,6 +9,10 @@ here under one name space.  The CLI, the experiment grids
 and hands the simulator an online probe stepped against the current,
 possibly still-converging information.
 
+The registry is the one way to name and run a policy: offline through
+:func:`route_with` (or :func:`resolve_router` ``(name).route(...)``),
+online through ``SimulationConfig(router=name)``.
+
 Registered names (in registration order):
 
 ======================  ====================================================
@@ -25,9 +29,7 @@ from repro.core.routing import RoutingPolicy
 from repro.routing.algorithm import AlgorithmRouter
 from repro.routing.global_info import (
     GlobalInfoRouter,
-    GlobalInformationRouter,
     GlobalPathProbe,
-    route_global_information,
     shortest_usable_path,
 )
 from repro.routing.registry import (
@@ -62,7 +64,6 @@ register_router("global-information", GlobalInfoRouter)
 __all__ = [
     "AlgorithmRouter",
     "GlobalInfoRouter",
-    "GlobalInformationRouter",
     "GlobalPathProbe",
     "Router",
     "SetupProbe",
@@ -71,7 +72,6 @@ __all__ = [
     "available_routers",
     "register_router",
     "resolve_router",
-    "route_global_information",
     "route_with",
     "shortest_usable_path",
 ]

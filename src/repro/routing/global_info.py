@@ -4,19 +4,18 @@ Every node is assumed to know the entire fault configuration at all times,
 so the router can always follow a shortest path in the fault-free subgraph.
 This is the ideal the traditional "routing table at every node" approach
 strives for; the paper's model trades a small number of extra detours for
-not having to maintain that table.  Two avoidance levels are provided:
+not having to maintain that table.  The router avoids whole *blocks*
+(faulty + disabled nodes), which is what a block-based global scheme would
+do and is the fair comparison for the limited-global model.
 
-* avoiding *faulty* nodes only (the true shortest usable path);
-* avoiding whole *blocks* (faulty + disabled nodes), which is what a
-  block-based global scheme would do and is the fairer comparison for the
-  limited-global model.
-
-The registry router additionally steps online: its :class:`GlobalPathProbe`
-advances one hop per simulation step along the currently shortest path,
-replanning whenever the labeling changes — or, under contention, whenever a
-reserved circuit fences off the planned link.  A probe with no usable path
-left because of *faults* reports the destination unreachable; one fenced in
-only by *reservations* waits for a circuit to release.
+Offline and online share one planner: the :class:`GlobalPathProbe`
+advances one hop per step along the currently shortest path, replanning
+whenever the labeling changes — or, under contention, whenever a reserved
+circuit fences off the planned link.  Offline,
+:meth:`GlobalInfoRouter.route` steps the same probe to completion against
+a static labeling.  A probe with no usable path left because of *faults*
+reports the destination unreachable; one fenced in only by *reservations*
+waits for a circuit to release.
 """
 
 from __future__ import annotations
@@ -25,7 +24,13 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.block_construction import LabelingState
-from repro.core.routing import LinkBlocked, RouteOutcome, RouteResult
+from repro.core.routing import (
+    LinkBlocked,
+    RouteOutcome,
+    RouteResult,
+    probe_step_limit,
+)
+from repro.core.state import InformationState
 from repro.mesh.topology import Mesh
 from repro.routing.registry import Router, SimulationInfo
 
@@ -71,91 +76,14 @@ def shortest_usable_path(
     return None
 
 
-class GlobalInformationRouter:
-    """Shortest-path router with full knowledge of the fault configuration.
-
-    This is the legacy offline interface (kept for the baselines package);
-    the registry adapter :class:`GlobalInfoRouter` builds on it.
-    """
-
-    def __init__(
-        self,
-        mesh: Mesh,
-        labeling: LabelingState,
-        *,
-        avoid_blocks: bool = True,
-    ) -> None:
-        self.mesh = mesh
-        self.labeling = labeling
-        self.avoid_blocks = avoid_blocks
-
-    def blocked_nodes(self) -> Set[Coord]:
-        """Nodes the router refuses to traverse."""
-        if self.avoid_blocks:
-            return set(self.labeling.block_nodes)
-        return set(self.labeling.faulty_nodes)
-
-    def shortest_path(
-        self, source: Sequence[int], destination: Sequence[int]
-    ) -> Optional[List[Coord]]:
-        """BFS shortest path avoiding the blocked nodes, or ``None``."""
-        source = self.mesh.validate(source)
-        destination = self.mesh.validate(destination)
-        return shortest_usable_path(
-            self.mesh, self.blocked_nodes(), source, destination
-        )
-
-    def route(
-        self, source: Sequence[int], destination: Sequence[int]
-    ) -> RouteResult:
-        """Route result along the globally-known shortest path."""
-        source = self.mesh.validate(source)
-        destination = self.mesh.validate(destination)
-        path = self.shortest_path(source, destination)
-        min_distance = self.mesh.distance(source, destination)
-        if path is None:
-            return RouteResult(
-                outcome=RouteOutcome.UNREACHABLE,
-                path=[source],
-                source=source,
-                destination=destination,
-                min_distance=min_distance,
-                forward_hops=0,
-                backtrack_hops=0,
-            )
-        return RouteResult(
-            outcome=RouteOutcome.DELIVERED,
-            path=path,
-            source=source,
-            destination=destination,
-            min_distance=min_distance,
-            forward_hops=len(path) - 1,
-            backtrack_hops=0,
-        )
-
-
-def route_global_information(
-    mesh: Mesh,
-    labeling: LabelingState,
-    source: Sequence[int],
-    destination: Sequence[int],
-    *,
-    avoid_blocks: bool = True,
-) -> RouteResult:
-    """Convenience wrapper around :class:`GlobalInformationRouter`."""
-    return GlobalInformationRouter(mesh, labeling, avoid_blocks=avoid_blocks).route(
-        source, destination
-    )
-
-
 class GlobalPathProbe:
     """One-hop-per-step follower of the globally-known shortest path.
 
-    Contention-free against a static labeling this reproduces the offline
-    BFS route exactly: the plan is computed once at the first step and then
-    followed hop by hop.  The plan is recomputed from the probe's current
-    node whenever the labeling mutates or a reserved circuit blocks the
-    planned link; a global router never backtracks, so its held circuit is
+    Contention-free against a static labeling the plan is computed once at
+    the first step and then followed hop by hop, so the route is the BFS
+    shortest path around the blocks.  The plan is recomputed from the
+    probe's current node whenever the labeling mutates or a reserved
+    circuit blocks the planned link; a global router never backtracks, so its held circuit is
     simply its path so far.
 
     Under contention a probe can be *fenced in*: no usable direction left
@@ -175,13 +103,11 @@ class GlobalPathProbe:
         source: Sequence[int],
         destination: Sequence[int],
         *,
-        avoid_blocks: bool = True,
         wait_timeout: Optional[int] = None,
     ) -> None:
         self.mesh = mesh
         self.source = mesh.validate(source)
         self.destination = mesh.validate(destination)
-        self.avoid_blocks = avoid_blocks
         #: Consecutive fenced-in steps tolerated before the probe releases
         #: its held links and restarts from the source.
         self.wait_timeout = (
@@ -219,11 +145,6 @@ class GlobalPathProbe:
     def circuit_stack(self) -> Sequence[Coord]:
         """The held circuit: the whole path (global probes never backtrack)."""
         return self.path
-
-    def _blocked_nodes(self, labeling: LabelingState) -> Set[Coord]:
-        if self.avoid_blocks:
-            return labeling.block_nodes
-        return labeling.faulty_nodes
 
     def step(
         self,
@@ -295,7 +216,7 @@ class GlobalPathProbe:
         reservations means wait (count a setup retry, keep no plan so the
         next step replans again).
         """
-        blocked = self._blocked_nodes(labeling)
+        blocked = labeling.block_nodes
         plan = shortest_usable_path(
             self.mesh, blocked, current, self.destination, link_blocked=link_blocked
         )
@@ -334,9 +255,6 @@ class GlobalInfoRouter(Router):
 
     name = "global-information"
 
-    def __init__(self, *, avoid_blocks: bool = True) -> None:
-        self.avoid_blocks = avoid_blocks
-
     def route(
         self,
         mesh: Mesh,
@@ -346,15 +264,15 @@ class GlobalInfoRouter(Router):
         *,
         max_steps: Optional[int] = None,
     ) -> RouteResult:
-        # max_steps is accepted for interface uniformity; a BFS route never
-        # wanders, so there is nothing to cut short.
-        return GlobalInformationRouter(
-            mesh, labeling, avoid_blocks=self.avoid_blocks
-        ).route(source, destination)
+        probe = self.probe(mesh, source, destination)
+        info = InformationState(mesh=mesh, labeling=labeling)
+        limit = max_steps if max_steps is not None else probe_step_limit(mesh)
+        for _ in range(limit):
+            if probe.step(info) is not None:
+                break
+        return probe.result()
 
     def probe(
         self, mesh: Mesh, source: Sequence[int], destination: Sequence[int]
     ) -> GlobalPathProbe:
-        return GlobalPathProbe(
-            mesh, source, destination, avoid_blocks=self.avoid_blocks
-        )
+        return GlobalPathProbe(mesh, source, destination)

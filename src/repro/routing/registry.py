@@ -139,11 +139,9 @@ class Router(ABC):
 _FACTORIES: Dict[str, Callable[[], Router]] = {}
 
 
-def register_router(
-    name: str, factory: Callable[[], Router], *, replace: bool = False
-) -> None:
-    """Register ``factory`` under ``name`` (``replace`` guards collisions)."""
-    if not replace and name in _FACTORIES:
+def register_router(name: str, factory: Callable[[], Router]) -> None:
+    """Register ``factory`` under ``name``; a name already taken is rejected."""
+    if name in _FACTORIES:
         raise ValueError(f"router {name!r} is already registered")
     _FACTORIES[name] = factory
 
@@ -160,8 +158,7 @@ def resolve_router(name: str) -> Router:
             f"unknown routing policy {name!r} (registered: "
             f"{', '.join(available_routers())})"
         )
-    router = factory()
-    return router
+    return factory()
 
 
 def available_routers() -> Tuple[str, ...]:

@@ -51,10 +51,6 @@ class StaticBlockRouter(AlgorithmRouter):
     def _derive_view(self, mesh: Mesh, labeling: LabelingState) -> InformationState:
         return adjacent_only_information(mesh, labeling)
 
-    def adjacent_view(self, mesh: Mesh, labeling: LabelingState) -> InformationState:
-        """Adjacent-only information for ``labeling``, rebuilt on mutation."""
-        return self.offline_view(mesh, labeling)  # type: ignore[return-value]
-
     def decision_information(self, info: SimulationInfo) -> InformationState:
         """The adjacent-only view of the simulator's current labeling."""
-        return self.adjacent_view(info.mesh, info.labeling)
+        return self.offline_view(info.mesh, info.labeling)  # type: ignore[return-value]

@@ -9,13 +9,15 @@
   composite dynamic-fault experiment builders;
 * :mod:`repro.workloads.congestion` — hotspot/transpose/bursty workloads
   that deliberately contend for links, exercising the simulator's PCS
-  circuit phase.
+  circuit phase, and :func:`simulate_scenario`, the one builder of every
+  simulate-mode traffic family.
 """
 
 from repro.workloads.congestion import (
     bursty_scenario,
     hotspot_pairs,
     hotspot_scenario,
+    simulate_scenario,
     transpose_scenario,
 )
 from repro.workloads.scenarios import (
@@ -44,6 +46,7 @@ __all__ = [
     "parametric_block_scenario",
     "random_dynamic_scenario",
     "random_pairs",
+    "simulate_scenario",
     "to_traffic",
     "transpose_pairs",
     "transpose_scenario",

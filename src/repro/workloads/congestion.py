@@ -14,7 +14,9 @@ walk-around, setup retries) has something to measure:
 
 Every builder returns a :class:`~repro.workloads.scenarios.DynamicRoutingScenario`
 (optionally with dynamic faults layered on top) and is deterministic in its
-``seed``.
+``seed``.  :func:`simulate_scenario` names these families plus the sparse
+``random`` one, and is how ``repro-mesh simulate`` and simulate-mode sweep
+cells build their runs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from repro.faults.injection import dynamic_schedule, uniform_random_faults
 from repro.mesh.topology import Mesh
 from repro.simulator.traffic import TrafficMessage
-from repro.workloads.scenarios import DynamicRoutingScenario
+from repro.workloads.scenarios import DynamicRoutingScenario, random_dynamic_scenario
 from repro.workloads.traffic import random_pairs, to_traffic, transpose_pairs
 
 Coord = Tuple[int, ...]
@@ -193,3 +195,64 @@ def bursty_scenario(
         schedule=schedule,
         traffic=tuple(messages),
     )
+
+
+def simulate_scenario(
+    family: str,
+    *,
+    shape: Sequence[int],
+    messages: int,
+    dynamic_faults: int,
+    interval: int,
+    flits: int,
+    seed: int,
+) -> DynamicRoutingScenario:
+    """One closed-batch run of traffic ``family`` on a ``shape`` mesh.
+
+    ``family`` is ``"random"``, ``"hotspot"``, ``"transpose"`` (cubic
+    meshes only) or ``"bursty"``; ``messages`` sizes the batch (the
+    transpose pair cap, or about six-message bursts).
+    """
+    if family == "hotspot":
+        return hotspot_scenario(
+            shape=shape,
+            messages=messages,
+            dynamic_faults=dynamic_faults,
+            interval=interval,
+            flits=flits,
+            seed=seed,
+        )
+    if family == "transpose":
+        if len(set(shape)) != 1:
+            raise ValueError(
+                f"transpose traffic requires a uniform (cubic) mesh, got {tuple(shape)}"
+            )
+        return transpose_scenario(
+            radix=shape[0],
+            n_dims=len(shape),
+            limit=messages,
+            dynamic_faults=dynamic_faults,
+            interval=interval,
+            flits=flits,
+            seed=seed,
+        )
+    if family == "bursty":
+        return bursty_scenario(
+            shape=shape,
+            bursts=max(1, messages // 6),
+            burst_size=min(6, messages),
+            dynamic_faults=dynamic_faults,
+            interval=interval,
+            flits=flits,
+            seed=seed,
+        )
+    if family == "random":
+        return random_dynamic_scenario(
+            shape=shape,
+            dynamic_faults=dynamic_faults,
+            interval=interval,
+            messages=messages,
+            flits=flits,
+            seed=seed,
+        )
+    raise ValueError(f"unknown simulate scenario {family!r}")

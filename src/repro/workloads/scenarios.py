@@ -8,7 +8,7 @@ faults producing the block ``[3:5, 5:6, 3:4]``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -177,6 +177,7 @@ def random_dynamic_scenario(
     interval: int = 10,
     messages: int = 20,
     min_distance: Optional[int] = None,
+    flits: int = 64,
     seed: int = 0,
 ) -> DynamicRoutingScenario:
     """A randomized dynamic-fault routing experiment.
@@ -184,7 +185,8 @@ def random_dynamic_scenario(
     ``dynamic_faults`` interior nodes fail one per ``interval`` steps while
     ``messages`` probes between random far-apart pairs are in flight — the
     setting of the graceful-degradation experiments.  ``shape`` overrides
-    the ``radix``/``n_dims`` cube with a rectangular mesh.
+    the ``radix``/``n_dims`` cube with a rectangular mesh; ``flits`` sets
+    every message's length (its circuit hold time under contention).
     """
     rng = np.random.default_rng(seed)
     mesh = Mesh(tuple(shape)) if shape is not None else Mesh.cube(radix, n_dims)
@@ -197,11 +199,11 @@ def random_dynamic_scenario(
         dynamic, start_time=2, interval=interval, initial=initial
     )
     if min_distance is None:
-        min_distance = mesh.diameter // 2
+        min_distance = max(1, mesh.diameter // 2)
     pairs = random_pairs(
         mesh, messages, rng, min_distance=min_distance, exclude=fault_nodes
     )
-    traffic = to_traffic(pairs, start_time=0, spacing=1, tag="dynamic")
+    traffic = to_traffic(pairs, start_time=0, spacing=1, tag="dynamic", flits=flits)
     return DynamicRoutingScenario(
         name=f"dynamic-{mesh.n_dims}d-f{dynamic_faults}",
         mesh=mesh,

@@ -1,18 +1,14 @@
-"""Unit tests for the comparison routing algorithms."""
+"""Unit tests for the comparison routing policies, run through the registry."""
 
 import numpy as np
 import pytest
 
-from repro.baselines.global_info import GlobalInformationRouter, route_global_information
-from repro.baselines.no_info import route_no_information
-from repro.baselines.static_block import adjacent_only_information, route_static_block
 from repro.core.block_construction import build_blocks
-from repro.core.distribution import distribute_information
-from repro.core.routing import RouteOutcome, route_offline
+from repro.core.routing import RouteOutcome
 from repro.core.safety import shortest_path_length
-from repro.core.state import InformationState
 from repro.faults.injection import uniform_random_faults
 from repro.mesh.topology import Mesh
+from repro.routing import resolve_router, route_with
 from repro.workloads.scenarios import FIGURE1_FAULTS
 from repro.workloads.traffic import random_pairs
 
@@ -20,71 +16,75 @@ from repro.workloads.traffic import random_pairs
 class TestGlobalInformationRouter:
     def test_matches_bfs_shortest_path(self, mesh3d):
         labeling = build_blocks(mesh3d, FIGURE1_FAULTS).state
-        router = GlobalInformationRouter(mesh3d, labeling)
-        result = router.route((4, 2, 4), (4, 9, 4))
+        result = route_with(
+            "global-information", mesh3d, labeling, (4, 2, 4), (4, 9, 4)
+        )
         assert result.delivered
         expected = shortest_path_length(
             mesh3d, set(labeling.block_nodes), (4, 2, 4), (4, 9, 4)
         )
         assert result.hops == expected
 
-    def test_avoid_blocks_vs_faults_only(self, mesh3d):
-        labeling = build_blocks(mesh3d, FIGURE1_FAULTS).state
-        strict = GlobalInformationRouter(mesh3d, labeling, avoid_blocks=True)
-        lenient = GlobalInformationRouter(mesh3d, labeling, avoid_blocks=False)
-        assert strict.blocked_nodes() >= lenient.blocked_nodes()
-
     def test_unreachable_destination(self, mesh2d):
         faults = [(4, 5), (6, 5), (5, 4), (5, 6)]
         labeling = build_blocks(mesh2d, faults).state
-        result = route_global_information(mesh2d, labeling, (0, 0), (5, 5))
+        result = route_with("global-information", mesh2d, labeling, (0, 0), (5, 5))
         assert result.outcome is RouteOutcome.UNREACHABLE
 
     def test_source_equals_destination(self, mesh2d):
         labeling = build_blocks(mesh2d, []).state
-        result = route_global_information(mesh2d, labeling, (3, 3), (3, 3))
+        result = route_with("global-information", mesh2d, labeling, (3, 3), (3, 3))
         assert result.delivered and result.hops == 0
 
     def test_fault_free_is_minimal(self, mesh3d):
         labeling = build_blocks(mesh3d, []).state
-        result = route_global_information(mesh3d, labeling, (0, 0, 0), (9, 9, 9))
+        result = route_with(
+            "global-information", mesh3d, labeling, (0, 0, 0), (9, 9, 9)
+        )
         assert result.detours == 0
+
+    def test_exhausted_under_small_max_steps(self, mesh3d):
+        """The offline route honours ``max_steps`` like the Algorithm-3 routers."""
+        labeling = build_blocks(mesh3d, []).state
+        result = route_with(
+            "global-information", mesh3d, labeling, (0, 0, 0), (9, 9, 9), max_steps=5
+        )
+        assert result.outcome is RouteOutcome.EXHAUSTED
+        assert result.hops == 5 and result.path[-1] != (9, 9, 9)
 
 
 class TestNoInformationBaseline:
     def test_delivers_despite_faults(self, mesh3d):
         labeling = build_blocks(mesh3d, FIGURE1_FAULTS).state
-        bare = InformationState(mesh=mesh3d, labeling=labeling)
-        result = route_no_information(bare, (0, 4, 4), (4, 7, 4))
+        result = route_with("no-information", mesh3d, labeling, (0, 4, 4), (4, 7, 4))
         assert result.delivered
 
     def test_never_worse_delivery_than_global_unreachable(self, mesh2d):
         # If the global router says unreachable, no-info must not deliver.
         faults = [(4, 5), (6, 5), (5, 4), (5, 6)]
         labeling = build_blocks(mesh2d, faults).state
-        bare = InformationState(mesh=mesh2d, labeling=labeling)
-        result = route_no_information(bare, (0, 0), (5, 5))
+        result = route_with("no-information", mesh2d, labeling, (0, 0), (5, 5))
         assert result.outcome is not RouteOutcome.DELIVERED
 
 
 class TestStaticBlockBaseline:
     def test_adjacent_only_information_has_no_boundaries(self, mesh3d):
         labeling = build_blocks(mesh3d, FIGURE1_FAULTS).state
-        info = adjacent_only_information(mesh3d, labeling)
+        info = resolve_router("static-block").offline_view(mesh3d, labeling)
         assert all(not info.boundaries_at(n) for n in info.nodes_holding_information())
         assert info.information_cells() > 0
 
     def test_information_held_closer_than_limited_global(self, mesh3d):
         labeling = build_blocks(mesh3d, FIGURE1_FAULTS).state
-        adjacent = adjacent_only_information(mesh3d, labeling)
-        full = distribute_information(mesh3d, labeling)
+        adjacent = resolve_router("static-block").offline_view(mesh3d, labeling)
+        full = resolve_router("limited-global").offline_view(mesh3d, labeling)
         assert len(adjacent.nodes_holding_information()) < len(
             full.nodes_holding_information()
         )
 
     def test_routes_deliver(self, mesh3d):
         labeling = build_blocks(mesh3d, FIGURE1_FAULTS).state
-        result = route_static_block(mesh3d, labeling, (0, 4, 4), (4, 7, 4))
+        result = route_with("static-block", mesh3d, labeling, (0, 4, 4), (4, 7, 4))
         assert result.delivered
 
 
@@ -97,15 +97,15 @@ class TestRelativeQuality:
         mesh = Mesh.cube(12, 2)
         faults = uniform_random_faults(mesh, 10, rng)
         labeling = build_blocks(mesh, faults).state
-        info = distribute_information(mesh, labeling)
-        bare = InformationState(mesh=mesh, labeling=labeling)
         pairs = random_pairs(
             mesh, 25, rng, min_distance=8, exclude=list(labeling.block_nodes)
         )
+        limited = resolve_router("limited-global")
+        no_info = resolve_router("no-information")
         informed = uninformed = 0
         for source, destination in pairs:
-            a = route_offline(info, source, destination)
-            b = route_no_information(bare, source, destination)
+            a = limited.route(mesh, labeling, source, destination)
+            b = no_info.route(mesh, labeling, source, destination)
             if a.delivered:
                 informed += a.hops
             if b.delivered:
@@ -114,10 +114,8 @@ class TestRelativeQuality:
 
     def test_global_information_is_lower_bound(self, mesh3d):
         labeling = build_blocks(mesh3d, FIGURE1_FAULTS).state
-        info = distribute_information(mesh3d, labeling)
-        router = GlobalInformationRouter(mesh3d, labeling)
         for source, destination in [((0, 4, 4), (4, 7, 4)), ((4, 2, 4), (4, 9, 4))]:
-            limited = route_offline(info, source, destination)
-            ideal = router.route(source, destination)
+            limited = route_with("limited-global", mesh3d, labeling, source, destination)
+            ideal = route_with("global-information", mesh3d, labeling, source, destination)
             assert limited.delivered and ideal.delivered
             assert ideal.hops <= limited.hops

@@ -117,6 +117,22 @@ class TestSimulateCommand:
         assert "delivery_rate" in out
         assert "mean_detours" in out
 
+    def test_flits_changes_contended_random_run(self, capsys):
+        """--flits reaches the default random scenario's messages."""
+        args = [
+            "simulate", "--shape", "8,8", "--faults", "3", "--messages", "12",
+            "--contention", "--seed", "2",
+        ]
+        outputs = []
+        for flits in ("4", "256"):
+            assert main([*args, "--flits", flits]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] != outputs[1]
+
+    def test_transpose_needs_cubic_mesh(self):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--shape", "8,6", "--scenario", "transpose"])
+
 
 class TestCompareCommand:
     def test_compare_table(self, capsys):

@@ -7,7 +7,7 @@ byte-identity — per-message outcomes and paths AND the aggregated
 :class:`SimulationStats` summary — across every registered routing policy,
 with and without circuit contention, over all four closed-batch traffic
 scenarios, plus randomized configurations.  The stacked sweep engine
-(``run_batch(engine="stacked")``) is held to the same bar at the JSON
+(``run_batch(engine="auto")``) is held to the same bar at the JSON
 export level: a multi-shape, multi-policy grid must serialize identically
 to the serial runner's output.
 
@@ -149,7 +149,7 @@ class TestStackedSweepParity:
             flits=(16,),
         )
         serial = run_batch(spec, engine="serial")
-        stacked = run_batch(spec, engine="stacked")
+        stacked = run_batch(spec, engine="auto")
         assert stacked.to_json() == serial.to_json()
 
     def test_parity_stacked_uncontended(self):
@@ -166,6 +166,6 @@ class TestStackedSweepParity:
             seeds=(0, 1, 2),
         )
         assert (
-            run_batch(spec, engine="stacked").to_json()
+            run_batch(spec, engine="auto").to_json()
             == run_batch(spec, engine="serial").to_json()
         )

@@ -88,7 +88,13 @@ class TestOfflineOnlineParity:
     @pytest.mark.parametrize("name", sorted(EXPECTED_POLICIES))
     @pytest.mark.parametrize(
         "source,destination",
-        [((0, 5), (9, 5)), ((2, 2), (7, 9)), ((0, 0), (9, 9))],
+        [
+            ((0, 5), (9, 5)),
+            ((2, 2), (7, 9)),
+            ((0, 0), (9, 9)),
+            # A zero-length route whose node lies in a block is delivered.
+            ((4, 5), (4, 5)),
+        ],
     )
     def test_parity(self, name, source, destination):
         mesh = Mesh.cube(10, 2)
@@ -147,10 +153,10 @@ class TestStaticBlockOnline:
         mesh = Mesh.cube(8, 2)
         labeling = _labeling(mesh)
         router = resolve_router("static-block")
-        first = router.adjacent_view(mesh, labeling)
-        assert router.adjacent_view(mesh, labeling) is first
+        first = router.offline_view(mesh, labeling)
+        assert router.offline_view(mesh, labeling) is first
         labeling.make_faulty((1, 1))
-        second = router.adjacent_view(mesh, labeling)
+        second = router.offline_view(mesh, labeling)
         assert second is not first
 
     def test_probe_sees_only_adjacent_information(self):
@@ -158,7 +164,7 @@ class TestStaticBlockOnline:
         mesh = Mesh.cube(10, 2)
         labeling = _labeling(mesh)
         router = resolve_router("static-block")
-        view = router.adjacent_view(mesh, labeling)
+        view = router.offline_view(mesh, labeling)
         assert not view.blocks_known_at((0, 0))
         assert view.blocks_known_at((2, 5))  # frame node next to the block
 
@@ -199,7 +205,7 @@ class TestSimulationConfigRouter:
         with pytest.raises(ValueError, match="registered"):
             SimulationConfig(router="nope")
 
-    def test_policy_fallback_used_when_router_unset(self):
+    def test_default_router_is_limited_global(self):
         mesh = Mesh.cube(6, 2)
         sim = Simulator(mesh, config=SimulationConfig())
         assert isinstance(sim.router, AlgorithmRouter)

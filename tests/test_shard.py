@@ -123,11 +123,11 @@ class TestAutoEngine:
             assert run_batch(spec, engine="auto", workers=workers).to_json() == reference
 
     def test_stacked_workers_restriction_lifted(self):
-        """engine='stacked' with workers>1 dispatches stacked shards across
+        """engine='auto' with workers>1 dispatches stacked shards across
         the pool instead of raising."""
         spec = mixed_spec()
         reference = run_batch(spec, engine="serial").to_json()
-        assert run_batch(spec, engine="stacked", workers=4).to_json() == reference
+        assert run_batch(spec, engine="auto", workers=4).to_json() == reference
 
     def test_serial_engine_parallel_matches(self):
         spec = mixed_spec()
