@@ -243,6 +243,28 @@ class Mesh:
         return table
 
     @property
+    def index_graph(self) -> Tuple[Tuple[Coord, ...], Tuple[Tuple[int, ...], ...]]:
+        """Memoized ``(coords, neighbors)`` view of the mesh as plain tuples.
+
+        ``coords[i]`` is :meth:`coord_of` ``(i)`` (the same tuple objects)
+        and ``neighbors[i]`` the in-mesh neighbor indices of node ``i`` in
+        :attr:`directions` order — the non-negative entries of row ``i`` of
+        :attr:`neighbor_table`.  Pure-Python graph searches walk it without
+        touching numpy or coordinate arithmetic per hop.
+        """
+        try:
+            return self._index_graph
+        except AttributeError:
+            pass
+        self.coord_of(0)  # builds the coordinate table
+        neighbors = tuple(
+            tuple(j for j in row if j >= 0) for row in self.neighbor_table.tolist()
+        )
+        graph = (self._coord_table, neighbors)
+        object.__setattr__(self, "_index_graph", graph)
+        return graph
+
+    @property
     def neighbor_gather_table(self):
         """:attr:`neighbor_table` with ``-1`` replaced by the sentinel ``size``.
 

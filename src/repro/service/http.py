@@ -20,6 +20,16 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 #: spec is a few KB; anything megabytes-sized is not a spec.
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: Requests with more header lines than this are rejected with 431 — the
+#: API reads a handful; hundreds only serve to tie up the parser.
+MAX_HEADER_LINES = 100
+
+#: Seconds a client has to deliver its whole request (head and body)
+#: before it is answered with 408 and disconnected, so a half-sent request
+#: cannot hold a connection open forever.  Streamed responses are not
+#: subject to it.
+READ_TIMEOUT_S = 30.0
+
 _REASONS = {
     200: "OK",
     202: "Accepted",
@@ -27,9 +37,11 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -65,7 +77,20 @@ class Request:
 
 
 async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
-    """Parse one request off the stream; ``None`` on a clean EOF."""
+    """Parse one request off the stream; ``None`` on a clean EOF.
+
+    The whole request must arrive within :data:`READ_TIMEOUT_S` (408
+    otherwise).
+    """
+    try:
+        return await asyncio.wait_for(_read_request(reader), READ_TIMEOUT_S)
+    except asyncio.TimeoutError:
+        raise ProtocolError(
+            408, f"request not received within {READ_TIMEOUT_S:g} seconds"
+        )
+
+
+async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as exc:
@@ -81,10 +106,13 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         raise ProtocolError(400, f"malformed request line {lines[0]!r}")
     method, target, _version = parts
 
+    header_lines = [line for line in lines[1:] if line]
+    if len(header_lines) > MAX_HEADER_LINES:
+        raise ProtocolError(
+            431, f"request has more than {MAX_HEADER_LINES} header lines"
+        )
     headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
+    for line in header_lines:
         name, sep, value = line.partition(":")
         if not sep:
             raise ProtocolError(400, f"malformed header line {line!r}")

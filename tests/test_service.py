@@ -9,15 +9,19 @@ bytes ``GET /v1/jobs/{id}/result`` serves are identical to what
 """
 
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.experiments import SPEC_SCHEMA
 from repro.experiments.runner import BatchCancelled
+import repro.service.http as http
 from repro.service import (
     CANCELLED,
     DONE,
@@ -428,6 +432,50 @@ class TestServiceHTTP:
         status, _, body = request(live, "GET", "/v1/jobs")
         assert status == 200
         assert isinstance(body["jobs"], list) and body["jobs"]
+
+
+def raw_exchange(base, data: bytes) -> bytes:
+    """Send raw bytes on one connection; return everything the server sends."""
+    split = urlsplit(base)
+    with socket.create_connection((split.hostname, split.port), timeout=WAIT) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+@pytest.mark.usefixtures("live")
+class TestRequestLimits:
+    """A client cannot hold a connection with a partial or bloated request."""
+
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            b"GET /v1/health HTTP/1.1\r\nHost: x\r\n",  # head never ends
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}",  # short body
+        ],
+        ids=["head", "body"],
+    )
+    def test_partial_request_times_out_with_408(self, live, monkeypatch, partial):
+        monkeypatch.setattr(http, "READ_TIMEOUT_S", 0.2)
+        started = time.monotonic()
+        reply = raw_exchange(live, partial)
+        assert reply.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+        assert b"0.2 seconds" in reply
+        assert time.monotonic() - started < WAIT / 2
+
+    def test_header_line_cap_answers_431(self, live):
+        def head(lines: int) -> bytes:
+            headers = "".join(f"X-Filler-{i}: {i}\r\n" for i in range(lines - 1))
+            return f"GET /v1/health HTTP/1.1\r\nHost: x\r\n{headers}\r\n".encode()
+
+        at_cap = raw_exchange(live, head(http.MAX_HEADER_LINES))
+        assert at_cap.startswith(b"HTTP/1.1 200 OK\r\n")
+        over_cap = raw_exchange(live, head(http.MAX_HEADER_LINES + 1))
+        assert over_cap.startswith(b"HTTP/1.1 431 Request Header Fields Too Large\r\n")
 
 
 class TestServiceBackpressure:
